@@ -1,0 +1,7 @@
+"""Make the library (``src/``) and the benchmark modules importable in tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
