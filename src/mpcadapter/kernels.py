@@ -86,10 +86,6 @@ def arith_shift_right(v: np.ndarray, bits: int) -> np.ndarray:
     return (v.view(np.int64) >> np.int64(bits)).view(np.uint64)
 
 
-def logical_shift_right(v: np.ndarray, bits: int) -> np.ndarray:
-    return v >> np.uint64(bits)
-
-
 def kogge_stone_carries(
     p: np.ndarray, g: np.ndarray, and_fn
 ) -> np.ndarray:

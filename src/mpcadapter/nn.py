@@ -16,17 +16,18 @@ which is exactly 26 rounds per adapter (9 linear + 2 matmul + 6 norm +
 one classifier round, for 26 s + 3 total.
 
 Attention is comparison-free: no Softmax, division, or sign test anywhere
-on that path.  A plaintext fixed-point twin and a float64 twin implement
-the identical wiring (including the inverse-sqrt polynomial) and serve as
-correctness oracles.
+on that path.  The fixed-point twin runs the same wiring over plaintext
+ring words; the float64 twin is written independently (with the same
+inverse-sqrt polynomial).  Both serve as correctness oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .ring import (DEFAULT_CONFIG, FixedPointConfig, FixedTensor, decode_fixed,
-                   encode_fixed, matmul_plain, mul_fixed_plain, truncate)
+                   encode_fixed, truncate)
 from .runtime import Channel, run_two_party
 from .sharing import (ArithShareTensor, PartyDealer, ltz, matmul_beaver_many,
                       mul_beaver_many, party_dealer, share_arith,
@@ -87,10 +88,6 @@ class AdapterConfig:
         fields = (self.h, self.r, self.s, int(round(self.scaler * 65536)),
                   self.d_model, self.n_tokens, self.n_classes) + tuple(extra)
         return np.array(fields, dtype=np.uint64)
-
-
-ROUNDS_PER_ADAPTER = 26
-ROUNDS_TAIL = 3
 
 
 def adapter_weight_shapes(config: AdapterConfig) -> dict:
@@ -156,59 +153,100 @@ def weights_to_float(weights: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# private operators
+# operators over two backends
+#
+# The operators and the adapter/pipeline wiring below are written once and
+# run over either backend passed as ``ctx``: ``PartyContext`` (one party's
+# secret shares; every round, triple and byte comes from it) or
+# ``PlainContext`` (plaintext ring words, the fixed-point twin).  A backend
+# supplies wrap, truncate, mul_many, matmul and relu; the wiring decides
+# which multiplies share a round, so the round ledger is the same for both.
 
 @dataclass
 class PartyContext:
+    """Secret-share backend: one party's channel and dealer view.
+
+    ``mul_many`` and ``matmul`` cost one batched Beaver round each and
+    return raw (scale 2^2f) products; ``truncate`` is local.
+    """
     channel: Channel
     dealer: PartyDealer
-    cfg: FixedPointConfig = DEFAULT_CONFIG
 
-    @property
-    def party_id(self) -> int:
-        return self.channel.party_id
+    def wrap(self, like: ArithShareTensor, data) -> ArithShareTensor:
+        return ArithShareTensor(like.party_id, data, like.config)
+
+    def truncate(self, x: ArithShareTensor) -> ArithShareTensor:
+        return truncate_share(x)
+
+    def mul_many(self, pairs, label: str) -> list:
+        triples = [self.dealer.arith_triple(x.shape, y.shape) for x, y in pairs]
+        return mul_beaver_many(pairs, triples, self.channel, label=label)
+
+    def matmul(self, x: ArithShareTensor, w: ArithShareTensor, label: str):
+        triple = self.dealer.matmul_triple(x.shape, w.shape)
+        (raw,) = matmul_beaver_many([(x, w)], [triple], self.channel, label=label)
+        return raw
+
+    def relu(self, x: ArithShareTensor) -> ArithShareTensor:
+        """Sign extraction (8 rounds) plus one multiply computing x - b*x."""
+        b = ltz(x, self.dealer, self.channel)
+        (prod,) = self.mul_many([(b, x)], "relu-mul")
+        # b is at integer scale, so b*x is already at scale 2^f.
+        return x - prod
 
 
-def _mul_public_real(ctx: PartyContext, x: ArithShareTensor, value: float):
-    enc = encode_fixed(value, ctx.cfg)
-    return truncate_share(x.mul_public(enc))
+class PlainContext:
+    """Plaintext backend: the fixed-point twin on ``FixedTensor`` words.
+
+    Products are local and exact and truncation is the exact signed shift,
+    so the private result differs from the twin only by the 1-ulp errors
+    (and rare failures) of local share truncation.  Labels are ignored.
+    """
+
+    def wrap(self, like: FixedTensor, data) -> FixedTensor:
+        return FixedTensor(data, like.config)
+
+    def truncate(self, x: FixedTensor) -> FixedTensor:
+        return self.wrap(x, truncate(x.data, x.config))
+
+    def mul_many(self, pairs, label: str) -> list:
+        return [self.wrap(x, x.data * y.data) for x, y in pairs]
+
+    def matmul(self, x: FixedTensor, w: FixedTensor, label: str) -> FixedTensor:
+        return self.wrap(x, kernels.matmul_u64(x.data, w.data))
+
+    def relu(self, x: FixedTensor) -> FixedTensor:
+        return self.wrap(x, np.where(x.data.view(np.int64) < 0, np.uint64(0), x.data))
 
 
-def _row_mean(ctx: PartyContext, x: ArithShareTensor) -> ArithShareTensor:
-    d = x.shape[-1]
-    total = ArithShareTensor(x.party_id,
-                             np.sum(x.data, axis=-1, keepdims=True, dtype=np.uint64),
-                             x.config)
-    return _mul_public_real(ctx, total, 1.0 / d)
+def _mul_public_real(ctx, x, value: float):
+    return ctx.truncate(ctx.wrap(x, x.data * encode_fixed(value, x.config)))
 
 
-def linear_private(ctx: PartyContext, x: ArithShareTensor, w: ArithShareTensor,
-                   bias: ArithShareTensor = None, label: str = "linear"):
-    """x @ w (+ bias): one round, output truncated back to scale 2^f."""
+def _row_mean(ctx, x):
+    total = ctx.wrap(x, np.sum(x.data, axis=-1, keepdims=True, dtype=np.uint64))
+    return _mul_public_real(ctx, total, 1.0 / x.shape[-1])
+
+
+def linear_private(ctx, x, w, bias=None, label: str = "linear"):
+    """x @ w (+ bias) on either backend: one round, output truncated back
+    to scale 2^f."""
     if x.shape[-1] != w.shape[-2]:
         raise ValueError(f"inner dimensions disagree: {x.shape} vs {w.shape}")
-    triple = ctx.dealer.matmul_triple(x.shape, w.shape)
-    (raw,) = matmul_beaver_many([(x, w)], [triple], ctx.channel, label=label)
-    out = truncate_share(raw)
+    out = ctx.truncate(ctx.matmul(x, w, label))
     if bias is not None:
         out = out + bias
     return out
 
 
-def relu_private(ctx: PartyContext, x: ArithShareTensor) -> ArithShareTensor:
-    """max(0, x), exact in the ring: sign extraction (8 rounds) plus one
-    multiply computing x - b*x.  9 rounds total."""
-    b = ltz(x, ctx.dealer, ctx.channel)
-    triple = ctx.dealer.arith_triple(b.shape, x.shape)
-    (prod,) = mul_beaver_many([(b, x)], [triple], ctx.channel, label="relu-mul")
-    # b is at integer scale, so b*x is already at scale 2^f.
-    return x - prod
+def relu_private(ctx, x):
+    """max(0, x) on either backend, exact in the ring; 9 rounds on shares."""
+    return ctx.relu(x)
 
 
-def layernorm_private(ctx: PartyContext, x: ArithShareTensor,
-                      gain: ArithShareTensor, bias: ArithShareTensor,
-                      round_budget: int = 3) -> ArithShareTensor:
-    """LayerNorm over the last axis in ``round_budget`` rounds.
+def layernorm_private(ctx, x, gain, bias, round_budget: int = 3):
+    """LayerNorm over the last axis in ``round_budget`` rounds, on either
+    backend.
 
     The inverse square root of the variance is a public-coefficient
     polynomial (cubic at budget 3, affine at budget 2), evaluated with the
@@ -218,183 +256,100 @@ def layernorm_private(ctx: PartyContext, x: ArithShareTensor,
       round 3: remaining cubic terms            (budget 2: this is round 2)
     """
     coeffs = rsqrt_poly(round_budget)
-    mean = _row_mean(ctx, x)
-    xc = x - mean
-    dealer, ch = ctx.dealer, ctx.channel
-
-    t_sq = dealer.arith_triple(xc.shape, xc.shape)
-    t_gx = dealer.arith_triple(gain.shape, xc.shape)
-    sq_raw, gx_raw = mul_beaver_many(
-        [(xc, xc), (ArithShareTensor(x.party_id, gain.data, x.config), xc)],
-        [t_sq, t_gx], ch, label="ln-var")
-    v = _row_mean(ctx, truncate_share(sq_raw))
-    gx = truncate_share(gx_raw)
+    xc = x - _row_mean(ctx, x)
+    sq_raw, gx_raw = ctx.mul_many([(xc, xc), (ctx.wrap(x, gain.data), xc)], "ln-var")
+    v = _row_mean(ctx, ctx.truncate(sq_raw))
+    gx = ctx.truncate(gx_raw)
 
     if round_budget == 2:
-        t = dealer.arith_triple(gx.shape, v.shape)
-        (gxv_raw,) = mul_beaver_many([(gx, v)], [t], ch, label="ln-apply")
-        gxv = truncate_share(gxv_raw)
-        terms = [_mul_public_real(ctx, gx, coeffs[0]),
-                 _mul_public_real(ctx, gxv, coeffs[1])]
+        (gxv_raw,) = ctx.mul_many([(gx, v)], "ln-apply")
+        terms = [gx, ctx.truncate(gxv_raw)]
     else:
-        t_v2 = dealer.arith_triple(v.shape, v.shape)
-        t_gxv = dealer.arith_triple(gx.shape, v.shape)
-        v2_raw, gxv_raw = mul_beaver_many([(v, v), (gx, v)], [t_v2, t_gxv],
-                                          ch, label="ln-pow")
-        v2 = truncate_share(v2_raw)
-        gxv = truncate_share(gxv_raw)
-        t_a = dealer.arith_triple(gx.shape, v2.shape)
-        t_b = dealer.arith_triple(gxv.shape, v2.shape)
-        gxv2_raw, gxv3_raw = mul_beaver_many([(gx, v2), (gxv, v2)],
-                                             [t_a, t_b], ch, label="ln-apply")
-        terms = [_mul_public_real(ctx, gx, coeffs[0]),
-                 _mul_public_real(ctx, gxv, coeffs[1]),
-                 _mul_public_real(ctx, truncate_share(gxv2_raw), coeffs[2]),
-                 _mul_public_real(ctx, truncate_share(gxv3_raw), coeffs[3])]
+        v2_raw, gxv_raw = ctx.mul_many([(v, v), (gx, v)], "ln-pow")
+        v2, gxv = ctx.truncate(v2_raw), ctx.truncate(gxv_raw)
+        gxv2_raw, gxv3_raw = ctx.mul_many([(gx, v2), (gxv, v2)], "ln-apply")
+        terms = [gx, gxv, ctx.truncate(gxv2_raw), ctx.truncate(gxv3_raw)]
 
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out + ArithShareTensor(x.party_id, bias.data, x.config)
+    out = ctx.wrap(x, bias.data)
+    for c, t in zip(coeffs, terms):
+        out = out + _mul_public_real(ctx, t, c)
+    return out
 
 
-def _split_heads(x: ArithShareTensor, config: AdapterConfig) -> ArithShareTensor:
+def _split_heads(ctx, x, config: AdapterConfig):
     n, r = x.shape
     data = x.data.reshape(n, config.h, config.head_dim).transpose(1, 0, 2)
-    return ArithShareTensor(x.party_id, np.ascontiguousarray(data), x.config)
+    return ctx.wrap(x, np.ascontiguousarray(data))
 
 
-def _merge_heads(x: ArithShareTensor) -> ArithShareTensor:
+def _merge_heads(ctx, x):
     h, n, dh = x.shape
-    data = x.data.transpose(1, 0, 2).reshape(n, h * dh)
-    return ArithShareTensor(x.party_id, np.ascontiguousarray(data), x.config)
+    return ctx.wrap(x, np.ascontiguousarray(x.data.transpose(1, 0, 2).reshape(n, h * dh)))
 
 
-def linatten_private(ctx: PartyContext, q: ArithShareTensor, k: ArithShareTensor,
-                     v: ArithShareTensor, wl: ArithShareTensor) -> ArithShareTensor:
-    """Linear attention (W_L @ (Q K^T)) V on [heads, N, head_dim] shares.
+def linatten_private(ctx, q, k, v, wl):
+    """Linear attention (W_L @ (Q K^T)) V on [heads, N, head_dim] tensors,
+    on either backend.
 
-    Two share-x-share matmul rounds plus the W_L linear round; all heads
-    are batched, and there is no comparison, Softmax, or division.
+    Two matmul rounds plus the W_L linear round; all heads are batched,
+    and there is no comparison, Softmax, or division.
     """
     h, n, dh = q.shape
-    kt = ArithShareTensor(k.party_id,
-                          np.ascontiguousarray(k.data.transpose(0, 2, 1)), k.config)
-    t1 = ctx.dealer.matmul_triple(q.shape, kt.shape)
-    (s_raw,) = matmul_beaver_many([(q, kt)], [t1], ctx.channel, label="atten-qk")
-    scores = truncate_share(s_raw)  # [h, N, N]
-
-    wl_b = ArithShareTensor(wl.party_id,
-                            np.ascontiguousarray(np.broadcast_to(wl.data, (h, n, n))),
-                            wl.config)
+    kt = ctx.wrap(k, np.ascontiguousarray(k.data.transpose(0, 2, 1)))
+    scores = ctx.truncate(ctx.matmul(q, kt, "atten-qk"))  # [h, N, N]
+    wl_b = ctx.wrap(wl, np.ascontiguousarray(np.broadcast_to(wl.data, (h, n, n))))
     mixed = linear_private(ctx, wl_b, scores, label="linear")
-
-    t2 = ctx.dealer.matmul_triple(mixed.shape, v.shape)
-    (a_raw,) = matmul_beaver_many([(mixed, v)], [t2], ctx.channel, label="atten-av")
-    return truncate_share(a_raw)
+    return ctx.truncate(ctx.matmul(mixed, v, "atten-av"))
 
 
-def adapter_forward_private(ctx: PartyContext, x: ArithShareTensor,
-                            w: dict, config: AdapterConfig,
-                            prefix: str = "adapter0.") -> ArithShareTensor:
-    """One adapter block on shares; exactly 26 rounds for any (h, r)."""
+def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,
+                            prefix: str = "adapter0."):
+    """One adapter block on either backend; exactly 26 rounds on shares
+    for any (h, r)."""
     g = lambda k: w[prefix + k]
     u = linear_private(ctx, x, g("down"))
     ln1 = layernorm_private(ctx, u, g("ln1.gain"), g("ln1.bias"), round_budget=3)
     q = linear_private(ctx, ln1, g("wq"))
     k = linear_private(ctx, ln1, g("wk"))
     v = linear_private(ctx, ln1, g("wv"))
-    att = linatten_private(ctx, _split_heads(q, config), _split_heads(k, config),
-                           _split_heads(v, config), g("wl"))
-    a = u + linear_private(ctx, _merge_heads(att), g("attn_out"))
+    att = linatten_private(ctx, _split_heads(ctx, q, config), _split_heads(ctx, k, config),
+                           _split_heads(ctx, v, config), g("wl"))
+    a = u + linear_private(ctx, _merge_heads(ctx, att), g("attn_out"))
     ln2 = layernorm_private(ctx, a, g("ln2.gain"), g("ln2.bias"), round_budget=3)
     m = relu_private(ctx, linear_private(ctx, ln2, g("fc1")))
     z = a + linear_private(ctx, m, g("fc2"))
     return x + _mul_public_real(ctx, linear_private(ctx, z, g("up")), config.scaler)
 
 
-def pipeline_forward_private(ctx: PartyContext, x: ArithShareTensor,
-                             w: dict, config: AdapterConfig) -> ArithShareTensor:
-    """Full pipeline: s adapters, 2-round norm on [CLS], classifier.
-    26 s + 3 rounds; returns the share of the logit vector."""
+def pipeline_forward_private(ctx, x, w: dict, config: AdapterConfig):
+    """Full pipeline on either backend: s adapters, 2-round norm on [CLS],
+    classifier.  26 s + 3 rounds on shares; returns the logit vector."""
     for i in range(config.s):
         x = adapter_forward_private(ctx, x, w, config, prefix=f"adapter{i}.")
-    cls = ArithShareTensor(x.party_id, x.data[0:1, :], x.config)
+    cls = ctx.wrap(x, x.data[0:1, :])
     normed = layernorm_private(ctx, cls, w["final.gain"], w["final.bias"],
                                round_budget=2)
     logits = linear_private(ctx, normed, w["classifier"])
-    return ArithShareTensor(x.party_id, logits.data.reshape(-1), x.config)
+    return ctx.wrap(x, logits.data.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
 # plaintext twins (correctness oracles)
 
-def _row_mean_plain(x: FixedTensor) -> FixedTensor:
-    total = np.sum(x.data, axis=-1, keepdims=True, dtype=np.uint64)
-    enc = encode_fixed(1.0 / x.shape[-1], x.config)
-    return FixedTensor(truncate(total * enc, x.config), x.config)
-
-
-def _mul_public_plain(x: FixedTensor, value: float) -> FixedTensor:
-    enc = encode_fixed(value, x.config)
-    return FixedTensor(truncate(x.data * enc, x.config), x.config)
-
-
-def layernorm_plain(x: FixedTensor, gain: FixedTensor, bias: FixedTensor,
-                    round_budget: int = 3) -> FixedTensor:
-    coeffs = rsqrt_poly(round_budget)
-    mean = _row_mean_plain(x)
-    xc = x - mean
-    sq = mul_fixed_plain(xc, xc)
-    v = _row_mean_plain(sq)
-    gx = mul_fixed_plain(FixedTensor(gain.data, gain.config), xc)
-    acc = _mul_public_plain(gx, coeffs[0])
-    term = gx
-    for c in coeffs[1:]:
-        term = mul_fixed_plain(term, v)
-        acc = acc + _mul_public_plain(term, c)
-    return acc + FixedTensor(bias.data, bias.config)
-
-
-def relu_plain(x: FixedTensor) -> FixedTensor:
-    neg = x.data.view(np.int64) < 0
-    return FixedTensor(np.where(neg, np.uint64(0), x.data), x.config)
-
-
 def adapter_forward_plain(x: FixedTensor, w: dict, config: AdapterConfig,
                           prefix: str = "adapter0.") -> FixedTensor:
-    g = lambda k: w[prefix + k]
-    u = matmul_plain(x, g("down"))
-    ln1 = layernorm_plain(u, g("ln1.gain"), g("ln1.bias"), 3)
-    n, r, h, dh = config.n_tokens, config.r, config.h, config.head_dim
-    split = lambda t: FixedTensor(np.ascontiguousarray(
-        t.data.reshape(n, h, dh).transpose(1, 0, 2)), t.config)
-    q = split(matmul_plain(ln1, g("wq")))
-    k = split(matmul_plain(ln1, g("wk")))
-    v = split(matmul_plain(ln1, g("wv")))
-    kt = FixedTensor(np.ascontiguousarray(k.data.transpose(0, 2, 1)), k.config)
-    scores = matmul_plain(q, kt)
-    wl_b = FixedTensor(np.ascontiguousarray(
-        np.broadcast_to(g("wl").data, (h, n, n))), x.config)
-    att = matmul_plain(matmul_plain(wl_b, scores), v)
-    merged = FixedTensor(np.ascontiguousarray(
-        att.data.transpose(1, 0, 2).reshape(n, r)), x.config)
-    a = u + matmul_plain(merged, g("attn_out"))
-    ln2 = layernorm_plain(a, g("ln2.gain"), g("ln2.bias"), 3)
-    m = relu_plain(matmul_plain(ln2, g("fc1")))
-    z = a + matmul_plain(m, g("fc2"))
-    return x + _mul_public_plain(matmul_plain(z, g("up")), config.scaler)
+    """The fixed-point twin of ``adapter_forward_private``."""
+    return adapter_forward_private(PlainContext(), x, w, config, prefix)
 
 
 def pipeline_forward_plain(x: FixedTensor, w: dict,
                            config: AdapterConfig) -> FixedTensor:
-    for i in range(config.s):
-        x = adapter_forward_plain(x, w, config, prefix=f"adapter{i}.")
-    cls = FixedTensor(x.data[0:1, :], x.config)
-    normed = layernorm_plain(cls, w["final.gain"], w["final.bias"], 2)
-    logits = matmul_plain(normed, w["classifier"])
-    return FixedTensor(logits.data.reshape(-1), x.config)
+    """The fixed-point twin of ``pipeline_forward_private``."""
+    return pipeline_forward_private(PlainContext(), x, w, config)
 
+
+# The float64 twin is written out independently of the wiring above, so it
+# checks that wiring rather than repeating it.
 
 def layernorm_float(x, gain, bias, round_budget=3):
     coeffs = rsqrt_poly(round_budget)
@@ -464,7 +419,7 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
     def protocol(channel: Channel):
         dealer = party_dealer(
             int(derived_rng(seed, "dealer").integers(1 << 62)), party_id)
-        ctx = PartyContext(channel, dealer, cfg)
+        ctx = PartyContext(channel, dealer)
 
         # Handshake: both sides verify they run the same configuration;
         # the model-user side also announces how many inputs follow.

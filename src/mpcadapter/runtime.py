@@ -16,6 +16,7 @@ import numpy as np
 
 FRAME_MAGIC = b"CP01"
 ABORT_TAG = 0xFFFFFFFF
+ABORT_REASON_BYTES = 4096  # abort frames carry at most this much reason text
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -125,7 +126,9 @@ class InProcessEnd:
     def send_frame(self, tag: int, payload: bytes):
         self._outbox.put((tag, payload))
 
-    def recv_frame(self, timeout: float):
+    def recv_frame(self, timeout: float, max_bytes: int):
+        """Next frame from the peer thread.  ``max_bytes`` is unused: the
+        frame is already in memory."""
         try:
             return self._inbox.get(timeout=timeout)
         except queue.Empty:
@@ -144,11 +147,17 @@ class TcpEnd:
     def send_frame(self, tag: int, payload: bytes):
         self._sock.sendall(encode_frame(tag, payload))
 
-    def recv_frame(self, timeout: float):
+    def recv_frame(self, timeout: float, max_bytes: int):
+        """Next frame from the socket.  A payload longer than ``max_bytes``
+        (ABORT_REASON_BYTES for an abort frame) raises FrameError before
+        any of it is read."""
         self._sock.settimeout(timeout)
         try:
-            header = _recv_exact(self._sock, 16)
-            tag, length = decode_frame_header(header)
+            tag, length = decode_frame_header(_recv_exact(self._sock, 16))
+            limit = ABORT_REASON_BYTES if tag == ABORT_TAG else max_bytes
+            if length > limit:
+                raise FrameError(f"frame of {length} bytes exceeds the "
+                                 f"{limit} bytes expected")
             return tag, _recv_exact(self._sock, length)
         except socket.timeout:
             raise ProtocolMismatchError(
@@ -184,10 +193,13 @@ class Channel:
         send_arrays = [np.ascontiguousarray(a, dtype=np.uint64) for a in send_arrays]
         if recv_shapes is None:
             recv_shapes = [a.shape for a in send_arrays]
+        counts = [int(np.prod(shape, dtype=np.int64)) if shape else 1
+                  for shape in recv_shapes]
+        expected = 8 * sum(counts)
         payload = b"".join(a.astype("<u8").tobytes() for a in send_arrays)
         self._tag += 1
         self.end.send_frame(self._tag, payload)
-        tag, raw = self.end.recv_frame(self.timeout)
+        tag, raw = self.end.recv_frame(self.timeout, expected)
         if tag == ABORT_TAG:
             raise ChannelError("peer aborted: " + raw.decode(errors="replace"))
         if tag != self._tag:
@@ -195,22 +207,21 @@ class Channel:
                 f"round tag mismatch: sent {self._tag}, received {tag}"
             )
         self.meter.record(label, len(payload))
+        if len(raw) != expected:
+            raise ProtocolMismatchError(
+                f"payload size mismatch: expected {expected} bytes, got {len(raw)}"
+            )
         flat = np.frombuffer(raw, dtype="<u8")
         out = []
         pos = 0
-        for shape in recv_shapes:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        for shape, count in zip(recv_shapes, counts):
             out.append(flat[pos:pos + count].reshape(shape).astype(np.uint64))
             pos += count
-        if pos != flat.size:
-            raise ProtocolMismatchError(
-                f"payload size mismatch: expected {pos} words, got {flat.size}"
-            )
         return out
 
     def abort(self, reason: str):
         try:
-            self.end.send_frame(ABORT_TAG, reason.encode())
+            self.end.send_frame(ABORT_TAG, reason.encode()[:ABORT_REASON_BYTES])
         except Exception:
             pass
 

@@ -211,15 +211,6 @@ def party_dealer(seed: int, party_id: int) -> PartyDealer:
     return TripleDealer(seed).for_party(party_id)
 
 
-def gen_beaver(dealer: TripleDealer, shape, flavor: str = "arith"):
-    """Issue one triple and return both parties' shares."""
-    if flavor == "arith":
-        return dealer.arith_triple(shape)
-    if flavor == "bin":
-        return dealer.bin_triple(shape)
-    raise ValueError(f"unknown triple flavor {flavor!r}")
-
-
 # ---------------------------------------------------------------------------
 # sharing / reconstruction
 
@@ -255,14 +246,6 @@ def open_values(share: ArithShareTensor, channel: Channel,
     return FixedTensor(share.data + peer, share.config)
 
 
-def open_batch(shares, channel: Channel, label: str = "open") -> list:
-    """Open several tensors in a single round."""
-    if channel.forbid_plain_open:
-        raise AuditError("plain opening is forbidden on this channel")
-    peers = channel.exchange(label, [s.data for s in shares])
-    return [FixedTensor(s.data + p, s.config) for s, p in zip(shares, peers)]
-
-
 # ---------------------------------------------------------------------------
 # multiplication
 
@@ -293,12 +276,6 @@ def mul_beaver_many(pairs, triples, channel: Channel,
     return out
 
 
-def mul_beaver(x: ArithShareTensor, y: ArithShareTensor, triple: TripleShare,
-               channel: Channel) -> ArithShareTensor:
-    (z,) = mul_beaver_many([(x, y)], [triple], channel)
-    return z
-
-
 def matmul_beaver_many(pairs, triples, channel: Channel,
                        label: str = "beaver-open"):
     """Batch of share x share matrix products in one round (raw scale)."""
@@ -322,14 +299,6 @@ def matmul_beaver_many(pairs, triples, channel: Channel,
     return out
 
 
-def matmul_beaver(x: ArithShareTensor, y: ArithShareTensor, triple: TripleShare,
-                  channel: Channel) -> ArithShareTensor:
-    if x.shape[-1] != y.shape[-2]:
-        raise ValueError(f"inner dimensions disagree: {x.shape} vs {y.shape}")
-    (z,) = matmul_beaver_many([(x, y)], [triple], channel)
-    return z
-
-
 def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
     """Local probabilistic truncation from scale 2^2f back to 2^f.
 
@@ -348,10 +317,6 @@ def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
 # ---------------------------------------------------------------------------
 # binary protocols
 
-def xor_shares(x: BinShareTensor, y: BinShareTensor) -> BinShareTensor:
-    return x ^ y
-
-
 def and_beaver_many(pairs, triples, channel: Channel, label: str = "beaver-open"):
     msgs = []
     for (x, y), t in zip(pairs, triples):
@@ -367,12 +332,6 @@ def and_beaver_many(pairs, triples, channel: Channel, label: str = "beaver-open"
             z = z ^ (e & d)
         out.append(z)
     return out
-
-
-def and_beaver(x: BinShareTensor, y: BinShareTensor, triple: TripleShare,
-               channel: Channel) -> BinShareTensor:
-    (z,) = and_beaver_many([(x.data, y.data)], [triple], channel)
-    return BinShareTensor(x.party_id, z)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +380,8 @@ def bit_to_arith(b: BinShareTensor, pair: InputPairShare,
     """
     pid = channel.party_id
     own = b.data
-    assert np.all(own <= 1), "bit_to_arith expects 0/1-valued shares"
+    if np.any(own > 1):
+        raise ValueError("bit_to_arith expects 0/1-valued shares")
     masked = own - pair.known
     (peer,) = channel.exchange("bit-open", [masked])
     if pid == 0:

@@ -24,11 +24,11 @@ from mpcadapter.nn import (AdapterConfig, derived_rng, inference_party,
 from mpcadapter.ring import FixedTensor
 from mpcadapter.runtime import LAN, WAN, MeterSummary, NetworkEnv, \
     simulate_latency, tcp_channel
-from mpcadapter.sharing import (a2b, b2a_full, and_beaver, ltz, mul_beaver,
-                                reconstruct_arith, reconstruct_bin,
-                                share_arith, share_bin)
+from mpcadapter.sharing import (a2b, and_beaver_many, b2a_full, ltz,
+                                mul_beaver_many, reconstruct_arith, share_arith,
+                                share_bin)
 
-from conftest import run_protocol
+from protocol_helpers import run_protocol
 
 DESK_GRID = [(1, 4), (1, 8), (2, 8), (4, 8), (2, 12), (4, 16)]
 
@@ -99,7 +99,8 @@ def test_criterion_3_protocol_exactness(report):
     def beaver(pid, ch, dealer):
         xs = (s0, s1)[pid]
         ys = (t0_, t1_)[pid]
-        return mul_beaver(xs, ys, dealer.arith_triple((n,)), ch)
+        (z,) = mul_beaver_many([(xs, ys)], [dealer.arith_triple((n,))], ch)
+        return z
     z0, z1, _ = run_protocol(beaver)
     checks["beaver product"] = np.array_equal(
         reconstruct_arith(z0, z1).data, x.data * y.data)
@@ -110,11 +111,11 @@ def test_criterion_3_protocol_exactness(report):
     b0, b1 = share_bin(words_b, rng)
 
     def band(pid, ch, dealer):
-        return and_beaver((a0, a1)[pid], (b0, b1)[pid],
-                          dealer.bin_triple((n,)), ch)
+        (z,) = and_beaver_many([((a0, a1)[pid].data, (b0, b1)[pid].data)],
+                               [dealer.bin_triple((n,))], ch)
+        return z
     c0, c1, _ = run_protocol(band)
-    checks["binary and"] = np.array_equal(
-        reconstruct_bin(c0, c1), words_a & words_b)
+    checks["binary and"] = np.array_equal(c0 ^ c1, words_a & words_b)
 
     def roundtrip(pid, ch, dealer):
         back = b2a_full(a2b((s0, s1)[pid], dealer, ch), dealer, ch)

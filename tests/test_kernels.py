@@ -49,11 +49,6 @@ def test_arith_shift_right():
     assert got.view(np.int64)[1] == -2
 
 
-def test_logical_shift_right():
-    v = np.array([(1 << 64) - 1], dtype=np.uint64)
-    assert kernels.logical_shift_right(v, 63)[0] == 1
-
-
 def test_kogge_stone_plaintext_adder(rng):
     """Driving the carry network with plain ANDs must add two u64 words."""
     x = rng.integers(0, 1 << 64, size=256, dtype=np.uint64)

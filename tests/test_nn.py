@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import run_protocol
+from protocol_helpers import run_protocol
 
 from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            RSQRT_CUBIC_WINDOW, AdapterConfig,
@@ -318,6 +318,19 @@ def test_pipeline_round_ledger(s, expected):
     feats = [random_features(config, derived_rng(1, "inputs"))]
     result, _ = private_inference(config, weights, feats, seed=1)
     assert result["pipeline_rounds"] == [expected]
+
+
+def test_pipeline_round_ledger_per_label():
+    """Which round each op lands in, for one s=1 pipeline on both parties."""
+    config = AdapterConfig(h=2, r=8, s=1)
+    weights = random_weights(config, derived_rng(1, "weights"))
+    feats = [random_features(config, derived_rng(1, "inputs"))]
+    _, meters = private_inference(config, weights, feats, seed=1)
+    want = {"linear": 10, "ln-var": 3, "ln-pow": 2, "ln-apply": 3,
+            "atten-qk": 1, "atten-av": 1, "a2b-dist": 1, "a2b-adder": 6,
+            "bit-open": 1, "relu-mul": 1, "setup": 2, "result": 1}
+    for m in meters:
+        assert {label: r for label, (r, _) in m.breakdown.items()} == want
 
 
 def test_pipeline_bytes_monotone():

@@ -1,15 +1,18 @@
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from mpcadapter.runtime import (ENVS, LAN, WAN, Channel, CommMeter, FrameError,
+from mpcadapter.runtime import (ABORT_TAG, ENVS, FRAME_MAGIC, LAN, WAN, Channel,
+                                ChannelError, CommMeter, FrameError,
                                 MeterSummary, NetworkEnv,
-                                ProtocolMismatchError, decode_frame_header,
-                                encode_frame, in_process_pair, merge_meters,
-                                run_two_party, simulate_latency, tcp_channel)
+                                ProtocolMismatchError, TcpEnd,
+                                decode_frame_header, encode_frame,
+                                in_process_pair, merge_meters, run_two_party,
+                                simulate_latency, tcp_channel)
 
 
 def _free_port():
@@ -129,7 +132,7 @@ def test_exchange_asymmetric_shapes():
 def test_receive_timeout_is_mismatch_error():
     ch0, _ = in_process_pair(timeout=0.05)
     with pytest.raises(ProtocolMismatchError):
-        ch0.end.recv_frame(0.05)
+        ch0.end.recv_frame(0.05, 0)
 
 
 def test_error_propagates_and_aborts_peer():
@@ -186,6 +189,47 @@ def test_tcp_echo_1mb(rng):
     assert ch0.meter.bytes_sent == payload.nbytes
     ch0.end.close()
     ch1.end.close()
+
+
+@pytest.mark.parametrize("tag", [1, ABORT_TAG])
+def test_tcp_oversize_frame_rejected_unread(tag):
+    """A forged 2^40-byte length is refused from the header alone."""
+    a, b = socket.socketpair()
+    try:
+        a.sendall(FRAME_MAGIC + struct.pack("<IQ", tag, 1 << 40) + b"x" * 64)
+        ch = Channel(0, TcpEnd(b), timeout=5.0)
+        with pytest.raises(FrameError, match="exceeds"):
+            ch.exchange("t", [np.zeros(2, np.uint64)])
+        assert len(a.recv(1 << 10)) == 16 + 16  # our own frame arrived
+        b.setblocking(False)
+        assert len(b.recv(1 << 10)) == 64  # the forged payload was left unread
+    finally:
+        a.close()
+        b.close()
+
+
+def test_tcp_short_frame_is_mismatch_error():
+    a, b = socket.socketpair()
+    try:
+        a.sendall(encode_frame(1, b"\0" * 8))
+        ch = Channel(0, TcpEnd(b), timeout=5.0)
+        with pytest.raises(ProtocolMismatchError, match="payload size"):
+            ch.exchange("t", [np.zeros(2, np.uint64)])
+    finally:
+        a.close()
+        b.close()
+
+
+def test_tcp_abort_reason_within_cap():
+    a, b = socket.socketpair()
+    try:
+        Channel(1, TcpEnd(a)).abort("x" * 100_000)
+        ch = Channel(0, TcpEnd(b), timeout=5.0)
+        with pytest.raises(ChannelError, match="peer aborted"):
+            ch.exchange("t", [np.zeros(2, np.uint64)])
+    finally:
+        a.close()
+        b.close()
 
 
 def test_tcp_connection_refused():

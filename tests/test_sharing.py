@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from conftest import run_protocol
+from protocol_helpers import run_protocol
 
 from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed
 from mpcadapter.runtime import run_two_party
 from mpcadapter.sharing import (ArithShareTensor, AuditError, BinShareTensor,
-                                TripleDealer, TripleShare, a2b, and_beaver,
-                                b2a_full, bit_to_arith, gen_beaver, ltz,
-                                matmul_beaver, mul_beaver, open_values,
+                                TripleDealer, TripleShare, a2b, and_beaver_many,
+                                b2a_full, bit_to_arith, ltz, matmul_beaver_many,
+                                mul_beaver_many, open_values,
                                 reconstruct_arith, reconstruct_bin, share_arith,
                                 share_bin, truncate_share)
 
@@ -80,7 +80,7 @@ def test_beaver_identity_1000():
 
 def test_beaver_binary_flavor():
     dealer = TripleDealer(0)
-    t0, t1 = gen_beaver(dealer, (1000,), flavor="bin")
+    t0, t1 = dealer.bin_triple((1000,))
     assert np.array_equal((t0.a ^ t1.a) & (t0.b ^ t1.b), t0.c ^ t1.c)
 
 
@@ -105,11 +105,6 @@ def test_input_pair_identities():
     assert np.array_equal(p0.known * p1.known, p0.c + p1.c)
     q0, q1 = dealer.bin_input_pair((100,))
     assert np.array_equal(q0.known & q1.known, q0.c ^ q1.c)
-
-
-def test_unknown_flavor():
-    with pytest.raises(ValueError):
-        gen_beaver(TripleDealer(0), (1,), flavor="gaussian")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,8 @@ def test_mul_beaver_hand_example():
     def proto(pid, ch, dealer):
         x = ArithShareTensor(pid, [x0, x1][pid])
         y = ArithShareTensor(pid, [y0, y1][pid])
-        return mul_beaver(x, y, [t0, t1][pid], ch).data
+        (z,) = mul_beaver_many([(x, y)], [[t0, t1][pid]], ch)
+        return z.data
 
     out0, out1, (m0, _) = run_protocol(proto)
     assert out0 + out1 == 12
@@ -166,7 +162,8 @@ def test_mul_beaver_zero_annihilates(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.arith_triple((10,))
-        return mul_beaver(xs[pid], ys[pid], t, ch).data
+        (z,) = mul_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        return z.data
 
     out0, out1, _ = run_protocol(proto)
     assert np.all(out0 + out1 == 0)
@@ -179,7 +176,8 @@ def test_mul_beaver_exact_1000(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.arith_triple((1000,))
-        return mul_beaver(xs[pid], ys[pid], t, ch).data
+        (z,) = mul_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        return z.data
 
     out0, out1, (m0, _) = run_protocol(proto)
     assert np.array_equal(out0 + out1, xv * yv)
@@ -192,7 +190,8 @@ def test_truncate_after_mul(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.arith_triple(())
-        return truncate_share(mul_beaver(xs[pid], ys[pid], t, ch)).data
+        (z,) = mul_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        return truncate_share(z).data
 
     out0, out1, _ = run_protocol(proto)
     assert abs(decode_fixed(out0 + out1) - 3.0) <= ULP
@@ -217,7 +216,8 @@ def test_matmul_beaver_identity(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.matmul_triple((4, 4), (4, 4))
-        return truncate_share(matmul_beaver(es[pid], bs[pid], t, ch)).data
+        (z,) = matmul_beaver_many([(es[pid], bs[pid])], [t], ch)
+        return truncate_share(z).data
 
     out0, out1, (m0, _) = run_protocol(proto)
     assert np.max(np.abs(decode_fixed(out0 + out1) - b.to_real())) <= 5 * ULP
@@ -232,7 +232,8 @@ def test_matmul_beaver_vs_plain(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.matmul_triple((4, 4), (4, 4))
-        return truncate_share(matmul_beaver(as_[pid], bs[pid], t, ch)).data
+        (z,) = matmul_beaver_many([(as_[pid], bs[pid])], [t], ch)
+        return truncate_share(z).data
 
     out0, out1, _ = run_protocol(proto)
     want = matmul_plain(a, b).to_real()
@@ -246,7 +247,7 @@ def test_matmul_beaver_shape_mismatch(rng):
     def proto(pid, ch, dealer):
         t = dealer.matmul_triple((2, 3), (3, 2))
         with pytest.raises(ValueError):
-            matmul_beaver(a[pid], b[pid], t, ch)
+            matmul_beaver_many([(a[pid], b[pid])], [t], ch)
         return None
 
     run_protocol(proto)
@@ -269,7 +270,8 @@ def test_and_truth_table(rng):
 
             def proto(pid, ch, dealer):
                 t = dealer.bin_triple(())
-                return and_beaver(xs[pid], ys[pid], t, ch).data
+                (z,) = and_beaver_many([(xs[pid].data, ys[pid].data)], [t], ch)
+                return z
 
             out0, out1, _ = run_protocol(proto)
             assert out0 ^ out1 == (xv & yv)
@@ -281,7 +283,8 @@ def test_and_random_words(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.bin_triple((1000,))
-        return and_beaver(xs[pid], ys[pid], t, ch).data
+        (z,) = and_beaver_many([(xs[pid].data, ys[pid].data)], [t], ch)
+        return z
 
     out0, out1, (m0, _) = run_protocol(proto)
     assert np.array_equal(out0 ^ out1, xv & yv)
@@ -325,6 +328,17 @@ def test_bit_to_arith_all_combinations():
             out0, out1, (m0, _) = run_protocol(proto)
             assert out0 + out1 == (b0v ^ b1v)
             assert m0.rounds == 1
+
+
+def test_bit_to_arith_rejects_non_bit_share():
+    def proto(pid, ch, dealer):
+        pair = dealer.arith_input_pair(())
+        with pytest.raises(ValueError):
+            bit_to_arith(BinShareTensor(pid, np.uint64(2)), pair, ch)
+        return ch.meter.rounds
+
+    out0, out1, _ = run_protocol(proto)
+    assert out0 == out1 == 0  # rejected before any exchange
 
 
 def test_b2a_examples(rng):
