@@ -65,9 +65,10 @@ class RunConfig:
         if env_doc:
             label = env_doc.get("label", "custom")
             if "bandwidth_mbps" in env_doc or "latency_ms" in env_doc:
-                env = NetworkEnv(label,
-                                 env_doc.get("bandwidth_mbps", 400.0) * 1e6,
-                                 env_doc.get("latency_ms", 4.0) * 1e-3)
+                # A figure left out keeps its WAN value.
+                bandwidth_mbps = env_doc.get("bandwidth_mbps", WAN.bandwidth_bps / 1e6)
+                latency_ms = env_doc.get("latency_ms", WAN.latency_s / 1e-3)
+                env = NetworkEnv(label, bandwidth_mbps * 1e6, latency_ms * 1e-3)
             elif label in ENVS:
                 env = ENVS[label]
             else:

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .ring import (DEFAULT_CONFIG, FixedPointConfig, FixedTensor, decode_fixed,
                    encode_fixed, truncate)
-from .runtime import Channel, run_two_party
+from .runtime import DEFAULT_TIMEOUT, Channel, run_two_party
 from .sharing import (ArithShareTensor, PartyDealer, ltz, matmul_beaver_many,
                       mul_beaver_many, party_dealer, share_arith,
                       truncate_share)
@@ -483,7 +483,7 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
 
 def private_inference(config: AdapterConfig, weights: dict, features: list,
                       seed: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
-                      timeout: float = 30.0):
+                      timeout: float = DEFAULT_TIMEOUT):
     """In-process two-party inference over a list of feature tensors.
 
     Returns (result dict from the model-user side, (meter0, meter1)).

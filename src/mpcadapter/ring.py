@@ -2,18 +2,17 @@
 
 Values are unsigned 64-bit words interpreted as two's complement; the
 fixed-point scale is 2^frac_bits.  Everything here is plaintext and serves
-as the numeric substrate (and correctness oracle) for the secret-shared
-protocols.
+as the numeric substrate for the secret-shared protocols and for the
+fixed-point twin in ``nn``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 
 RING_BITS = 64
-MODULUS = 1 << RING_BITS
 
 # Encoded magnitudes must stay below 2^62 so local probabilistic share
 # truncation fails only with negligible probability.
@@ -27,11 +26,8 @@ class RingOverflowError(OverflowError):
 @dataclass(frozen=True)
 class FixedPointConfig:
     frac_bits: int = 16
-    ring_bits: int = field(default=RING_BITS)
 
     def __post_init__(self):
-        if self.ring_bits != RING_BITS:
-            raise ValueError("ring is fixed to 2^64")
         if not 1 <= self.frac_bits <= 32:
             raise ValueError(f"frac_bits must be in [1, 32], got {self.frac_bits}")
 
@@ -106,25 +102,3 @@ def truncate(v: np.ndarray, cfg: FixedPointConfig) -> np.ndarray:
     """Signed right shift by f: rescales a 2^2f product back to 2^f."""
     return kernels.arith_shift_right(v, cfg.frac_bits)
 
-
-def mul_fixed_plain(x: FixedTensor, y: FixedTensor) -> FixedTensor:
-    """Elementwise fixed-point product (ring multiply, then signed shift)."""
-    _check_config(x, y)
-    try:
-        raw = np.multiply(x.data, y.data)
-    except ValueError as e:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}") from e
-    return FixedTensor(truncate(raw, x.config), x.config)
-
-
-def matmul_plain(a: FixedTensor, b: FixedTensor) -> FixedTensor:
-    """Fixed-point matrix product.
-
-    The truncation by f is applied once per accumulated inner product,
-    after summation, which keeps the error within k * 2^-f.
-    """
-    _check_config(a, b)
-    if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else -1]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} vs {b.shape}")
-    raw = kernels.matmul_u64(a.data, b.data)
-    return FixedTensor(truncate(raw, a.config), a.config)

@@ -254,7 +254,9 @@ def run_two_party(proto0, proto1, timeout: float = DEFAULT_TIMEOUT):
     """Run both party closures concurrently over an in-process transport.
 
     Returns (output0, output1, (meter0, meter1)).  A protocol exception on
-    either side aborts the peer and is re-raised.
+    either side aborts the peer and is re-raised.  Party 1 still running
+    ``timeout + 5`` seconds after party 0 returned raises
+    ``ProtocolMismatchError``.
     """
     ch0, ch1 = in_process_pair(timeout)
     results = [None, None]
@@ -270,11 +272,15 @@ def run_two_party(proto0, proto1, timeout: float = DEFAULT_TIMEOUT):
     t1 = threading.Thread(target=runner, args=(1, proto1, ch1), daemon=True)
     t1.start()
     runner(0, proto0, ch0)
-    t1.join(timeout=timeout + 5)
+    join_s = timeout + 5
+    t1.join(timeout=join_s)
     for e in errors:
         if e is not None and not isinstance(e, ChannelError):
             raise e
     for e in errors:
         if e is not None:
             raise e
+    if t1.is_alive():
+        raise ProtocolMismatchError(
+            f"party 1 still running {join_s:g} s after party 0 finished")
     return results[0], results[1], (ch0.meter, ch1.meter)

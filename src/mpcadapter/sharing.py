@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ring import DEFAULT_CONFIG, FixedPointConfig, FixedTensor
+from .ring import DEFAULT_CONFIG, RING_BITS, FixedPointConfig, FixedTensor
 from .runtime import Channel
-
-WORD_BITS = 64
 
 
 class AuditError(RuntimeError):
@@ -116,7 +114,7 @@ class InputPairShare:
 
 
 def _rand_words(rng, shape):
-    return rng.integers(0, 1 << WORD_BITS, size=shape, dtype=np.uint64)
+    return rng.integers(0, 1 << RING_BITS, size=shape, dtype=np.uint64)
 
 
 class TripleDealer:
@@ -128,10 +126,6 @@ class TripleDealer:
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        self.issued = {}  # kind -> count
-
-    def _count(self, kind):
-        self.issued[kind] = self.issued.get(kind, 0) + 1
 
     def arith_triple(self, shape_x, shape_y=None):
         shape_y = shape_x if shape_y is None else shape_y
@@ -140,7 +134,6 @@ class TripleDealer:
         b = _rand_words(rng, shape_y)
         c = a * b
         a0, b0, c0 = _rand_words(rng, a.shape), _rand_words(rng, b.shape), _rand_words(rng, c.shape)
-        self._count("arith")
         return (TripleShare(a0, b0, c0), TripleShare(a - a0, b - b0, c - c0))
 
     def matmul_triple(self, shape_a, shape_b):
@@ -149,7 +142,6 @@ class TripleDealer:
         b = _rand_words(rng, shape_b)
         c = kernels.matmul_u64(a, b)
         a0, b0, c0 = _rand_words(rng, a.shape), _rand_words(rng, b.shape), _rand_words(rng, c.shape)
-        self._count("matmul")
         return (TripleShare(a0, b0, c0), TripleShare(a - a0, b - b0, c - c0))
 
     def bin_triple(self, shape):
@@ -158,7 +150,6 @@ class TripleDealer:
         b = _rand_words(rng, shape)
         c = a & b
         a0, b0, c0 = _rand_words(rng, shape), _rand_words(rng, shape), _rand_words(rng, shape)
-        self._count("bin")
         return (TripleShare(a0, b0, c0), TripleShare(a ^ a0, b ^ b0, c ^ c0))
 
     def arith_input_pair(self, shape):
@@ -167,7 +158,6 @@ class TripleDealer:
         b = _rand_words(rng, shape)
         c = a * b
         c0 = _rand_words(rng, shape)
-        self._count("arith_input")
         return (InputPairShare(a, c0), InputPairShare(b, c - c0))
 
     def bin_input_pair(self, shape):
@@ -176,7 +166,6 @@ class TripleDealer:
         b = _rand_words(rng, shape)
         c = a & b
         c0 = _rand_words(rng, shape)
-        self._count("bin_input")
         return (InputPairShare(a, c0), InputPairShare(b, c ^ c0))
 
     def for_party(self, party_id: int) -> "PartyDealer":
@@ -397,11 +386,11 @@ def b2a_full(x: BinShareTensor, dealer: PartyDealer, channel: Channel,
     """Binary -> arithmetic over all 64 bits, batched into one round."""
     shape = x.shape
     planes = np.stack([(x.data >> np.uint64(j)) & np.uint64(1)
-                       for j in range(WORD_BITS)])
+                       for j in range(RING_BITS)])
     pair = dealer.arith_input_pair(planes.shape)
     bit_shares = bit_to_arith(BinShareTensor(x.party_id, planes), pair, channel)
-    weights = (np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)).reshape(
-        (WORD_BITS,) + (1,) * len(shape))
+    weights = (np.uint64(1) << np.arange(RING_BITS, dtype=np.uint64)).reshape(
+        (RING_BITS,) + (1,) * len(shape))
     data = np.sum(bit_shares.data * weights, axis=0, dtype=np.uint64) if shape \
         else np.sum(bit_shares.data * weights.ravel(), dtype=np.uint64)
     return ArithShareTensor(x.party_id, np.asarray(data, np.uint64), config)
@@ -410,7 +399,7 @@ def b2a_full(x: BinShareTensor, dealer: PartyDealer, channel: Channel,
 def ltz(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> ArithShareTensor:
     """Private sign test: 1 iff x < 0, at integer scale.  8 rounds."""
     bits = a2b(x, dealer, channel)
-    msb = bits.shift_right_logical(WORD_BITS - 1)
+    msb = bits.shift_right_logical(RING_BITS - 1)
     pair = dealer.arith_input_pair(x.shape)
     b = bit_to_arith(msb, pair, channel)
     return ArithShareTensor(x.party_id, b.data, x.config)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mpcadapter import kernels
 
@@ -17,10 +18,6 @@ def _py_matmul_mod(a, b):
     return out
 
 
-def test_backend_reports_name():
-    assert kernels.backend() in ("numba", "numpy")
-
-
 def test_matmul_mod_2_64(rng):
     a = rng.integers(0, 1 << 64, size=(5, 4), dtype=np.uint64)
     b = rng.integers(0, 1 << 64, size=(4, 6), dtype=np.uint64)
@@ -35,11 +32,34 @@ def test_matmul_batch(rng):
         assert np.array_equal(got[i], _py_matmul_mod(a[i], b[i]))
 
 
-def test_backends_agree(rng):
-    """The jitted path and the numpy fallback are bit-identical."""
-    a = rng.integers(0, 1 << 64, size=(8, 8), dtype=np.uint64)
-    b = rng.integers(0, 1 << 64, size=(8, 8), dtype=np.uint64)
-    assert np.array_equal(kernels.matmul_u64(a, b), kernels._matmul_u64_np(a, b))
+def test_matmul_strided_views_exact(rng):
+    """Transposed and strided views give the exact product."""
+    a = rng.integers(0, 1 << 64, size=(6, 10), dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=(12, 5), dtype=np.uint64)
+    for x, y in ((a.T[::2], b[::2]), (a[:, ::2], b[:5].T), (a[::2, 1::2], b.T[:, :5])):
+        assert not (x.flags.c_contiguous and y.flags.c_contiguous)
+        assert np.array_equal(kernels.matmul_u64(x, y), _py_matmul_mod(x, y))
+    batch = rng.integers(0, 1 << 64, size=(2, 4, 4), dtype=np.uint64)
+    got = kernels.matmul_u64(batch, batch.transpose(0, 2, 1))
+    for i in range(2):
+        assert np.array_equal(got[i], _py_matmul_mod(batch[i], batch[i].T))
+
+
+def test_matmul_mixed_ranks_rejected(rng):
+    """np.matmul would broadcast a 2-D operand across the batch."""
+    a = rng.integers(0, 1 << 64, size=(4, 4), dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=(3, 4, 4), dtype=np.uint64)
+    with pytest.raises(ValueError):
+        kernels.matmul_u64(a, b)
+    with pytest.raises(ValueError):
+        kernels.matmul_u64(b, a)
+
+
+def test_matmul_batch_mismatch_rejected(rng):
+    a = rng.integers(0, 1 << 64, size=(3, 4, 4), dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=(1, 4, 4), dtype=np.uint64)
+    with pytest.raises(ValueError):
+        kernels.matmul_u64(a, b)
 
 
 def test_arith_shift_right():

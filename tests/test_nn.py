@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from protocol_helpers import run_protocol
 
 from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            RSQRT_CUBIC_WINDOW, AdapterConfig,
-                           ConfigMismatchError, PartyContext,
+                           ConfigMismatchError, PartyContext, PlainContext,
                            adapter_forward_float, adapter_forward_plain,
                            adapter_forward_private, derived_rng,
                            inference_party, layernorm_float, layernorm_private,
@@ -14,7 +16,7 @@ from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            random_features, random_weights, relu_private,
                            rsqrt_poly, weight_names, weight_shape,
                            weights_to_float)
-from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed
+from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed
 from mpcadapter.runtime import run_two_party
 from mpcadapter.sharing import ArithShareTensor, share_arith
 
@@ -101,6 +103,62 @@ def test_rsqrt_budget_dispatch():
     assert rsqrt_poly(2) == RSQRT_AFFINE
     with pytest.raises(ValueError):
         rsqrt_poly(4)
+
+
+# ---------------------------------------------------------------------------
+# plaintext backend products (the fixed-point twin's multiply and matmul)
+
+def _plain_mul(x, y):
+    ctx = PlainContext()
+    (raw,) = ctx.mul_many([(FixedTensor.from_real(x), FixedTensor.from_real(y))], "t")
+    return ctx.truncate(raw).to_real()
+
+
+def _plain_matmul(a, b):
+    return linear_private(PlainContext(), a, b).to_real()
+
+
+def test_mul_examples():
+    assert _plain_mul(1.5, 2.0) == 3.0
+    assert _plain_mul(0.5, 0.5) == 0.25
+    assert _plain_mul(-1.0, 1.0) == -1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-100, 100), st.floats(-100, 100))
+def test_mul_error_bound(x, y):
+    got = _plain_mul(x, y)
+    x_q = decode_fixed(encode_fixed(x))
+    y_q = decode_fixed(encode_fixed(y))
+    assert abs(got - x_q * y_q) <= ULP
+
+
+def test_matmul_identity(rng):
+    b = FixedTensor.from_real(rng.standard_normal((2, 3)))
+    eye = FixedTensor.from_real(np.eye(2))
+    got = _plain_matmul(eye, b)
+    assert np.max(np.abs(got - b.to_real())) <= 2 * ULP
+
+
+def test_matmul_hand():
+    a = FixedTensor.from_real([[1.0, 2.0]])
+    b = FixedTensor.from_real([[3.0], [4.0]])
+    assert _plain_matmul(a, b) == [[11.0]]
+
+
+def test_matmul_vs_float(rng):
+    k = 4
+    a = rng.standard_normal((4, k))
+    b = rng.standard_normal((k, 4))
+    got = _plain_matmul(FixedTensor.from_real(a), FixedTensor.from_real(b))
+    assert np.max(np.abs(got - a @ b)) <= k * ULP * max(1.0, np.abs(a).max(), np.abs(b).max())
+
+
+def test_matmul_shape_mismatch(rng):
+    a = FixedTensor.from_real(rng.standard_normal((2, 3)))
+    b = FixedTensor.from_real(rng.standard_normal((2, 3)))
+    with pytest.raises(ValueError):
+        _plain_matmul(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mpcadapter.ring import (DEFAULT_CONFIG, FixedPointConfig, FixedTensor,
                              RingOverflowError, decode_fixed, encode_fixed,
-                             matmul_plain, mul_fixed_plain, truncate)
+                             truncate)
 
 F = DEFAULT_CONFIG.frac_bits
 ULP = 2.0 ** -F
@@ -13,7 +13,6 @@ ULP = 2.0 ** -F
 
 def test_config_defaults():
     assert DEFAULT_CONFIG.frac_bits == 16
-    assert DEFAULT_CONFIG.ring_bits == 64
     assert DEFAULT_CONFIG.scale == 65536
 
 
@@ -22,8 +21,6 @@ def test_config_validation():
         FixedPointConfig(frac_bits=0)
     with pytest.raises(ValueError):
         FixedPointConfig(frac_bits=33)
-    with pytest.raises(ValueError):
-        FixedPointConfig(frac_bits=16, ring_bits=32)
 
 
 def test_encode_examples():
@@ -86,53 +83,6 @@ def test_config_mismatch_rejected():
     b = FixedTensor.from_real([1.0], FixedPointConfig(frac_bits=12))
     with pytest.raises(ValueError):
         a + b
-
-
-def test_mul_examples():
-    def one(x, y):
-        return mul_fixed_plain(FixedTensor.from_real(x),
-                               FixedTensor.from_real(y)).to_real()
-    assert one(1.5, 2.0) == 3.0
-    assert one(0.5, 0.5) == 0.25
-    assert one(-1.0, 1.0) == -1.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-100, 100), st.floats(-100, 100))
-def test_mul_error_bound(x, y):
-    got = mul_fixed_plain(FixedTensor.from_real(x),
-                          FixedTensor.from_real(y)).to_real()
-    x_q = decode_fixed(encode_fixed(x))
-    y_q = decode_fixed(encode_fixed(y))
-    assert abs(got - x_q * y_q) <= ULP
-
-
-def test_matmul_identity(rng):
-    b = FixedTensor.from_real(rng.standard_normal((2, 3)))
-    eye = FixedTensor.from_real(np.eye(2))
-    got = matmul_plain(eye, b).to_real()
-    assert np.max(np.abs(got - b.to_real())) <= 2 * ULP
-
-
-def test_matmul_hand():
-    a = FixedTensor.from_real([[1.0, 2.0]])
-    b = FixedTensor.from_real([[3.0], [4.0]])
-    assert matmul_plain(a, b).to_real() == [[11.0]]
-
-
-def test_matmul_vs_float(rng):
-    k = 4
-    a = rng.standard_normal((4, k))
-    b = rng.standard_normal((k, 4))
-    got = matmul_plain(FixedTensor.from_real(a), FixedTensor.from_real(b)).to_real()
-    assert np.max(np.abs(got - a @ b)) <= k * ULP * max(1.0, np.abs(a).max(), np.abs(b).max())
-
-
-def test_matmul_shape_mismatch(rng):
-    a = FixedTensor.from_real(rng.standard_normal((2, 3)))
-    b = FixedTensor.from_real(rng.standard_normal((2, 3)))
-    with pytest.raises(ValueError):
-        matmul_plain(a, b)
 
 
 def test_truncate_signed():

@@ -146,6 +146,22 @@ def test_error_propagates_and_aborts_peer():
         run_two_party(p0, p1, timeout=5)
 
 
+def test_stuck_party_one_raises():
+    release = threading.Event()
+
+    def p0(ch):
+        return "done"
+
+    def p1(ch):
+        release.wait(timeout=60)
+
+    try:
+        with pytest.raises(ProtocolMismatchError, match="party 1"):
+            run_two_party(p0, p1, timeout=0.1)
+    finally:
+        release.set()
+
+
 # ---------------------------------------------------------------------------
 # TCP transport
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from protocol_helpers import run_protocol
 
+from mpcadapter.nn import PlainContext, linear_private
 from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed
 from mpcadapter.runtime import run_two_party
 from mpcadapter.sharing import (ArithShareTensor, AuditError, BinShareTensor,
@@ -208,7 +209,6 @@ def test_truncate_error_one_ulp(rng):
 
 
 def test_matmul_beaver_identity(rng):
-    from mpcadapter.ring import matmul_plain
     eye = FixedTensor.from_real(np.eye(4))
     b = FixedTensor.from_real(rng.standard_normal((4, 4)))
     es = share_arith(eye, rng)
@@ -225,7 +225,6 @@ def test_matmul_beaver_identity(rng):
 
 
 def test_matmul_beaver_vs_plain(rng):
-    from mpcadapter.ring import matmul_plain
     a = FixedTensor.from_real(rng.standard_normal((4, 4)))
     b = FixedTensor.from_real(rng.standard_normal((4, 4)))
     as_, bs = share_arith(a, rng), share_arith(b, rng)
@@ -236,7 +235,7 @@ def test_matmul_beaver_vs_plain(rng):
         return truncate_share(z).data
 
     out0, out1, _ = run_protocol(proto)
-    want = matmul_plain(a, b).to_real()
+    want = linear_private(PlainContext(), a, b).to_real()
     assert np.max(np.abs(decode_fixed(out0 + out1) - want)) <= 4 * ULP
 
 
