@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import AdapterConfig, private_inference, random_features, random_weights
+from .ring import DEFAULT_CONFIG
 from .runtime import NetworkEnv, merge_meters, simulate_latency
 
 ROUNDS_PER_ADAPTER = 26
@@ -34,6 +35,11 @@ SFT_BASELINE = {
 }
 
 
+def _affine(coeffs, h, r, s):
+    c1, c2, c3, c4 = coeffs
+    return (c1 * h + c2 * r + c3) * s + c4
+
+
 @dataclass(frozen=True)
 class CostCoefficients:
     env: str
@@ -41,12 +47,10 @@ class CostCoefficients:
     comp: tuple
 
     def comm_time(self, h, r, s):
-        c1, c2, c3, c4 = self.comm
-        return (c1 * h + c2 * r + c3) * s + c4
+        return _affine(self.comm, h, r, s)
 
     def comp_time(self, h, r, s):
-        c1, c2, c3, c4 = self.comp
-        return (c1 * h + c2 * r + c3) * s + c4
+        return _affine(self.comp, h, r, s)
 
     def to_json(self, r2_comm=None, r2_comp=None) -> str:
         return json.dumps({"env": self.env, "comm": list(self.comm),
@@ -86,8 +90,7 @@ def estimate_rounds(config) -> int:
 
 
 def estimate_comm_gb(config: AdapterConfig) -> float:
-    c1, c2, c3, c4 = COMM_GB_COEFFS
-    return (c1 * config.h + c2 * config.r + c3) * config.s + c4
+    return _affine(COMM_GB_COEFFS, config.h, config.r, config.s)
 
 
 def estimate_latency(config: AdapterConfig,
@@ -135,11 +138,9 @@ def fit_cost_model(samples, env_label: str = "custom"):
 
 
 def profile_pipeline(configs, env: NetworkEnv, seed: int = 0,
-                     cfg=None) -> list:
+                     cfg=DEFAULT_CONFIG) -> list:
     """Run the real engine per config; comm_time comes from the latency
     simulator, comp_time from the wall clock."""
-    from .ring import DEFAULT_CONFIG
-    cfg = cfg or DEFAULT_CONFIG
     samples = []
     for config in configs:
         rng = np.random.Generator(np.random.PCG64(seed))

@@ -15,6 +15,9 @@ from pathlib import Path
 import numpy as np
 
 DEMO_TABLE = Path(__file__).parent / "data" / "demo_utility.csv"
+LEARNING_RATE = 0.1
+BASELINE_DECAY = 0.9  # EMA weight of the old reward baseline
+S_STEP = 1  # adapters added when the search escalates s
 
 
 class EvaluatorError(RuntimeError):
@@ -26,17 +29,18 @@ class SearchSpace:
     heads: tuple
     ranks: tuple
     s_max: int
-    h_init: int = None
-    r_init: int = None
-    delta: int = 1
 
     def __post_init__(self):
         if not self.heads or not self.ranks or self.s_max < 1:
             raise ValueError("search space must be nonempty")
-        if self.h_init is None:
-            object.__setattr__(self, "h_init", min(self.heads))
-        if self.r_init is None:
-            object.__setattr__(self, "r_init", min(self.ranks))
+
+    @property
+    def h_init(self) -> int:
+        return min(self.heads)
+
+    @property
+    def r_init(self) -> int:
+        return min(self.ranks)
 
     def valid_pairs(self) -> list:
         """(h, r) combinations with r divisible by h."""
@@ -78,21 +82,16 @@ class SearchResult:
 class Controller:
     """Softmax policy over valid pairs, REINFORCE with an EMA baseline."""
 
-    def __init__(self, pairs, seed: int = 0, lr: float = 0.1,
-                 temperature: float = 1.0, baseline_decay: float = 0.9):
+    def __init__(self, pairs, seed: int = 0):
         if not pairs:
             raise ValueError("no valid (h, r) pairs")
         self.pairs = list(pairs)
         self.theta = np.zeros(len(self.pairs))
-        self.lr = lr
-        self.temperature = temperature
-        self.decay = baseline_decay
         self.baseline = None
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
     def probabilities(self) -> np.ndarray:
-        z = self.theta / self.temperature
-        z = z - z.max()
+        z = self.theta - self.theta.max()
         e = np.exp(z)
         return e / e.sum()
 
@@ -111,8 +110,8 @@ class Controller:
         # d/dtheta log pi(pair): one-hot minus probabilities
         grad = -probs
         grad[idx] += 1.0
-        self.theta += self.lr * advantage * grad
-        self.baseline = self.decay * self.baseline + (1 - self.decay) * reward
+        self.theta += LEARNING_RATE * advantage * grad
+        self.baseline = BASELINE_DECAY * self.baseline + (1 - BASELINE_DECAY) * reward
 
 
 class ExhaustiveController:
@@ -200,7 +199,7 @@ def nas_search(targets: SearchTargets, latency_fn, space: SearchSpace,
 
     Outer loop over the adapter count s; inner loop samples (h, r) pairs.
     A sampled pair whose modeled latency exceeds the latency target, or
-    exceeds the cost of escalating to s + delta adapters at the reference
+    exceeds the cost of escalating to s + S_STEP adapters at the reference
     pair, is rewarded only by 1/latency and never evaluated.  Patience
     (consecutive non-improving samples) moves the search to the next s.
     Returns early as soon as the utility target is met.
@@ -218,7 +217,7 @@ def nas_search(targets: SearchTargets, latency_fn, space: SearchSpace,
             h, r = controller.sample()
             result.samples += 1
             lat = latency_fn(h, r, s)
-            escalate_cost = latency_fn(space.h_init, space.r_init, s + space.delta)
+            escalate_cost = latency_fn(space.h_init, space.r_init, s + S_STEP)
             if lat > escalate_cost or lat > targets.latency_s:
                 reward = 1.0 / lat
                 tau += 1

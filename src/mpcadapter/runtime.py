@@ -10,6 +10,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ FRAME_MAGIC = b"CP01"
 ABORT_TAG = 0xFFFFFFFF
 ABORT_REASON_BYTES = 4096  # abort frames carry at most this much reason text
 DEFAULT_TIMEOUT = 30.0
+CONNECT_RETRY_S = 0.01  # first backoff after a refused connect; doubles
+CONNECT_RETRY_MAX_S = 0.5
 
 
 class ChannelError(RuntimeError):
@@ -233,9 +236,25 @@ def in_process_pair(timeout: float = DEFAULT_TIMEOUT):
     return ch0, ch1
 
 
+def _connect_retrying(host: str, port: int, timeout: float):
+    """Connect, retrying a refused connect with capped exponential backoff
+    until ``timeout`` has passed, so party 1 may start before party 0."""
+    deadline = time.monotonic() + timeout
+    delay = CONNECT_RETRY_S
+    while True:
+        try:
+            return socket.create_connection((host, port), timeout=timeout)
+        except ConnectionRefusedError:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise
+            time.sleep(min(delay, left))
+            delay = min(2 * delay, CONNECT_RETRY_MAX_S)
+
+
 def tcp_channel(party_id: int, host: str, port: int,
                 timeout: float = DEFAULT_TIMEOUT) -> Channel:
-    """Party 0 listens, party 1 connects."""
+    """Party 0 listens, party 1 connects (retrying until party 0 listens)."""
     if party_id == 0:
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -245,7 +264,7 @@ def tcp_channel(party_id: int, host: str, port: int,
         sock, _ = srv.accept()
         srv.close()
     else:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = _connect_retrying(host, port, timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return Channel(party_id, TcpEnd(sock), timeout)
 

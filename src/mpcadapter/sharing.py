@@ -7,6 +7,12 @@ so both parties can hold replica dealers and draw identical triple
 streams without communicating (the offline phase is excluded from
 metering).
 
+The Beaver opening, the product of two privately known inputs and the
+dealer's split are each written once, over both share rings: a ring is
+a ``(mask, add)`` pair of numpy ufuncs (``ARITH``: subtract/add mod 2^64,
+``BINARY``: XOR/XOR), and the product (elementwise, matrix or AND) is
+passed alongside it.
+
 Round contracts (per call, enforced by tests):
   mul / matmul / AND        1
   a2b                       7   (1 share distribution + 6 adder levels)
@@ -55,22 +61,6 @@ class ArithShareTensor:
         self._check(other)
         return ArithShareTensor(self.party_id, self.data - other.data, self.config)
 
-    def add_public(self, const):
-        """[x] + c: the public constant is added by party 0 only."""
-        const = np.asarray(const, dtype=np.uint64)
-        shape = np.broadcast_shapes(self.data.shape, const.shape)
-        data = np.broadcast_to(self.data, shape).copy()
-        if self.party_id == 0:
-            data = data + const
-        return ArithShareTensor(self.party_id, data, self.config)
-
-    def mul_public(self, const):
-        """c * [x] in the ring (no rescaling)."""
-        return ArithShareTensor(self.party_id, self.data * np.asarray(const, np.uint64),
-                                self.config)
-
-    def reshape(self, *shape):
-        return ArithShareTensor(self.party_id, self.data.reshape(*shape), self.config)
 
 
 @dataclass
@@ -84,11 +74,6 @@ class BinShareTensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def __xor__(self, other):
-        if self.party_id != other.party_id:
-            raise ValueError("shares belong to different parties")
-        return BinShareTensor(self.party_id, self.data ^ other.data)
 
     def shift_right_logical(self, bits: int):
         return BinShareTensor(self.party_id, self.data >> np.uint64(bits))
@@ -117,6 +102,12 @@ def _rand_words(rng, shape):
     return rng.integers(0, 1 << RING_BITS, size=shape, dtype=np.uint64)
 
 
+# A share ring as (mask, add): masking x with a gives the word a party opens,
+# and add recombines shares.  The product is passed separately.
+ARITH = (np.subtract, np.add)
+BINARY = (np.bitwise_xor, np.bitwise_xor)
+
+
 class TripleDealer:
     """Trusted dealer with full knowledge of the triples it issues.
 
@@ -127,46 +118,36 @@ class TripleDealer:
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
+    def _triple(self, shape_a, shape_b, product, ring):
+        mask = ring[0]
+        rng = self._rng
+        a, b = _rand_words(rng, shape_a), _rand_words(rng, shape_b)
+        c = product(a, b)
+        a0, b0, c0 = (_rand_words(rng, v.shape) for v in (a, b, c))
+        return (TripleShare(a0, b0, c0),
+                TripleShare(mask(a, a0), mask(b, b0), mask(c, c0)))
+
+    def _input_pair(self, shape, product, ring):
+        rng = self._rng
+        a, b = _rand_words(rng, shape), _rand_words(rng, shape)
+        c0 = _rand_words(rng, shape)
+        return (InputPairShare(a, c0), InputPairShare(b, ring[0](product(a, b), c0)))
+
     def arith_triple(self, shape_x, shape_y=None):
         shape_y = shape_x if shape_y is None else shape_y
-        rng = self._rng
-        a = _rand_words(rng, shape_x)
-        b = _rand_words(rng, shape_y)
-        c = a * b
-        a0, b0, c0 = _rand_words(rng, a.shape), _rand_words(rng, b.shape), _rand_words(rng, c.shape)
-        return (TripleShare(a0, b0, c0), TripleShare(a - a0, b - b0, c - c0))
+        return self._triple(shape_x, shape_y, np.multiply, ARITH)
 
     def matmul_triple(self, shape_a, shape_b):
-        rng = self._rng
-        a = _rand_words(rng, shape_a)
-        b = _rand_words(rng, shape_b)
-        c = kernels.matmul_u64(a, b)
-        a0, b0, c0 = _rand_words(rng, a.shape), _rand_words(rng, b.shape), _rand_words(rng, c.shape)
-        return (TripleShare(a0, b0, c0), TripleShare(a - a0, b - b0, c - c0))
+        return self._triple(shape_a, shape_b, kernels.matmul_u64, ARITH)
 
     def bin_triple(self, shape):
-        rng = self._rng
-        a = _rand_words(rng, shape)
-        b = _rand_words(rng, shape)
-        c = a & b
-        a0, b0, c0 = _rand_words(rng, shape), _rand_words(rng, shape), _rand_words(rng, shape)
-        return (TripleShare(a0, b0, c0), TripleShare(a ^ a0, b ^ b0, c ^ c0))
+        return self._triple(shape, shape, np.bitwise_and, BINARY)
 
     def arith_input_pair(self, shape):
-        rng = self._rng
-        a = _rand_words(rng, shape)
-        b = _rand_words(rng, shape)
-        c = a * b
-        c0 = _rand_words(rng, shape)
-        return (InputPairShare(a, c0), InputPairShare(b, c - c0))
+        return self._input_pair(shape, np.multiply, ARITH)
 
     def bin_input_pair(self, shape):
-        rng = self._rng
-        a = _rand_words(rng, shape)
-        b = _rand_words(rng, shape)
-        c = a & b
-        c0 = _rand_words(rng, shape)
-        return (InputPairShare(a, c0), InputPairShare(b, c ^ c0))
+        return self._input_pair(shape, np.bitwise_and, BINARY)
 
     def for_party(self, party_id: int) -> "PartyDealer":
         return PartyDealer(self, party_id)
@@ -238,6 +219,54 @@ def open_values(share: ArithShareTensor, channel: Channel,
 # ---------------------------------------------------------------------------
 # multiplication
 
+def _beaver_many(pairs, triples, channel: Channel, label, product, ring):
+    """Beaver products of raw share words, one round for the whole batch.
+
+    Each party opens e = x - a and d = y - b (XOR in the binary ring);
+    then z = c + e*b + a*d, plus e*d on party 0.
+    """
+    mask, add = ring
+    msgs = []
+    for (x, y), t in zip(pairs, triples, strict=True):
+        if t.a.shape != x.shape or t.b.shape != y.shape:
+            raise ValueError(
+                f"triple shape {t.a.shape}x{t.b.shape} does not match "
+                f"operands {x.shape}x{y.shape}")
+        msgs += [mask(x, t.a), mask(y, t.b)]
+    opened = channel.exchange(label, msgs)
+    out = []
+    for i, t in enumerate(triples):
+        e = add(msgs[2 * i], opened[2 * i])
+        d = add(msgs[2 * i + 1], opened[2 * i + 1])
+        z = add(add(t.c, product(e, t.b)), product(t.a, d))
+        if channel.party_id == 0:
+            z = add(z, product(e, d))
+        out.append(z)
+    return out
+
+
+def _known_product(own, pair: InputPairShare, channel: Channel, label,
+                   product, ring):
+    """Shares of own_0 * own_1 where each party knows its own factor in full.
+
+    Each party opens its factor masked by ``pair.known``, in one round.
+    With m_i = own_i - known_i, own_0*own_1 = c + own_0*m_1 + m_0*known_1,
+    so party 0 adds own_0*m_1 and party 1 adds m_0*known_1.  Returns this
+    party's share and the peer's masked factor.
+    """
+    mask, add = ring
+    masked = mask(own, pair.known)
+    (peer,) = channel.exchange(label, [masked])
+    cross = product(own, peer) if channel.party_id == 0 else product(peer, pair.known)
+    return add(pair.c, cross), peer
+
+
+def _arith_beaver_many(pairs, triples, channel: Channel, label, product):
+    words = _beaver_many([(x.data, y.data) for x, y in pairs], triples, channel,
+                         label, product, ARITH)
+    return [ArithShareTensor(x.party_id, z, x.config) for (x, _), z in zip(pairs, words)]
+
+
 def mul_beaver_many(pairs, triples, channel: Channel,
                     label: str = "beaver-open"):
     """Batch of elementwise share*share products in one round.
@@ -245,47 +274,13 @@ def mul_beaver_many(pairs, triples, channel: Channel,
     Results are raw ring products (scale 2^2f for two fixed-point inputs);
     callers truncate.
     """
-    eps_deltas = []
-    for (x, y), t in zip(pairs, triples):
-        if t.a.shape != x.shape or t.b.shape != y.shape:
-            raise ValueError(
-                f"triple shape {t.a.shape}x{t.b.shape} does not match "
-                f"operands {x.shape}x{y.shape}")
-        eps_deltas.append(x.data - t.a)
-        eps_deltas.append(y.data - t.b)
-    opened = channel.exchange(label, eps_deltas)
-    out = []
-    for i, ((x, y), t) in enumerate(zip(pairs, triples)):
-        eps = eps_deltas[2 * i] + opened[2 * i]
-        delta = eps_deltas[2 * i + 1] + opened[2 * i + 1]
-        z = t.c + eps * t.b + t.a * delta
-        if channel.party_id == 0:
-            z = z + eps * delta
-        out.append(ArithShareTensor(x.party_id, z, x.config))
-    return out
+    return _arith_beaver_many(pairs, triples, channel, label, np.multiply)
 
 
 def matmul_beaver_many(pairs, triples, channel: Channel,
                        label: str = "beaver-open"):
     """Batch of share x share matrix products in one round (raw scale)."""
-    msgs = []
-    for (x, y), t in zip(pairs, triples):
-        if t.a.shape != x.shape or t.b.shape != y.shape:
-            raise ValueError(
-                f"matrix triple {t.a.shape}x{t.b.shape} does not match "
-                f"operands {x.shape}x{y.shape}")
-        msgs.append(x.data - t.a)
-        msgs.append(y.data - t.b)
-    opened = channel.exchange(label, msgs)
-    out = []
-    for i, ((x, y), t) in enumerate(zip(pairs, triples)):
-        E = msgs[2 * i] + opened[2 * i]
-        D = msgs[2 * i + 1] + opened[2 * i + 1]
-        z = t.c + kernels.matmul_u64(E, t.b) + kernels.matmul_u64(t.a, D)
-        if channel.party_id == 0:
-            z = z + kernels.matmul_u64(E, D)
-        out.append(ArithShareTensor(x.party_id, z, x.config))
-    return out
+    return _arith_beaver_many(pairs, triples, channel, label, kernels.matmul_u64)
 
 
 def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
@@ -307,20 +302,8 @@ def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
 # binary protocols
 
 def and_beaver_many(pairs, triples, channel: Channel, label: str = "beaver-open"):
-    msgs = []
-    for (x, y), t in zip(pairs, triples):
-        msgs.append(np.asarray(x, np.uint64) ^ t.a)
-        msgs.append(np.asarray(y, np.uint64) ^ t.b)
-    opened = channel.exchange(label, msgs)
-    out = []
-    for i, ((x, y), t) in enumerate(zip(pairs, triples)):
-        e = msgs[2 * i] ^ opened[2 * i]
-        d = msgs[2 * i + 1] ^ opened[2 * i + 1]
-        z = t.c ^ (e & t.b) ^ (t.a & d)
-        if channel.party_id == 0:
-            z = z ^ (e & d)
-        out.append(z)
-    return out
+    """Batch of bitwise ANDs of XOR-shared u64 words in one round."""
+    return _beaver_many(pairs, triples, channel, label, np.bitwise_and, BINARY)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +318,12 @@ def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> BinShareT
     product of privately-known inputs).  The two shared summands are then
     added with a Kogge-Stone adder: 6 AND levels for 64 bits.
     """
-    pid = channel.party_id
-    s_own = x.data
     pair = dealer.bin_input_pair(x.shape)
-    masked = s_own ^ pair.known
-    (peer_masked,) = channel.exchange("a2b-dist", [masked])
-    m0, m1 = (masked, peer_masked) if pid == 0 else (peer_masked, masked)
-
-    # XOR-shares of the two summands s0, s1 and of p = s0 ^ s1.
-    if pid == 0:
-        p = pair.known ^ m1
-        g = pair.c ^ (pair.known & m1) ^ (m0 & m1)
-    else:
-        p = m0 ^ pair.known
-        g = pair.c ^ (m0 & pair.known)
+    # XOR-shares of the summands' generate word g = s0 & s1 and of the
+    # propagate word p = s0 ^ s1 (the peer's masked share ^ our mask).
+    g, peer = _known_product(x.data, pair, channel, "a2b-dist",
+                             np.bitwise_and, BINARY)
+    p = pair.known ^ peer
 
     def and_fn(op_pairs):
         triples = [dealer.bin_triple(x.shape) for _ in op_pairs]
@@ -356,7 +331,7 @@ def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> BinShareT
 
     carries = kernels.kogge_stone_carries(p, g, and_fn)
     bits = p ^ (carries << np.uint64(1))
-    return BinShareTensor(pid, bits)
+    return BinShareTensor(channel.party_id, bits)
 
 
 def bit_to_arith(b: BinShareTensor, pair: InputPairShare,
@@ -367,18 +342,12 @@ def bit_to_arith(b: BinShareTensor, pair: InputPairShare,
     cross product costs one dealer-assisted masked opening.  Result is at
     integer scale.
     """
-    pid = channel.party_id
     own = b.data
     if np.any(own > 1):
         raise ValueError("bit_to_arith expects 0/1-valued shares")
-    masked = own - pair.known
-    (peer,) = channel.exchange("bit-open", [masked])
-    if pid == 0:
-        prod = pair.c + pair.known * peer + masked * peer
-    else:
-        prod = pair.c + peer * pair.known
+    prod, _ = _known_product(own, pair, channel, "bit-open", np.multiply, ARITH)
     data = own - np.uint64(2) * prod
-    return ArithShareTensor(pid, data, DEFAULT_CONFIG)
+    return ArithShareTensor(channel.party_id, data, DEFAULT_CONFIG)
 
 
 def b2a_full(x: BinShareTensor, dealer: PartyDealer, channel: Channel,

@@ -222,15 +222,7 @@ def test_criterion_7_transport_equivalence(report):
     out = {}
 
     def party(pid):
-        deadline = time.monotonic() + 10
-        while True:
-            try:
-                ch = tcp_channel(pid, "127.0.0.1", port, timeout=10)
-                break
-            except OSError:
-                if pid == 0 or time.monotonic() > deadline:
-                    raise
-                time.sleep(0.02)
+        ch = tcp_channel(pid, "127.0.0.1", port, timeout=10)
         proto = inference_party(pid, config, 0,
                                 weights=weights if pid == 1 else None,
                                 features=features if pid == 0 else None)

@@ -165,31 +165,23 @@ def test_stuck_party_one_raises():
 # ---------------------------------------------------------------------------
 # TCP transport
 
-def _tcp_pair(timeout=10.0):
+def _tcp_pair(timeout=10.0, listen_after=0.0):
+    """Party 1 connects at once; party 0 listens ``listen_after`` s later."""
     port = _free_port()
     result = {}
 
     def listen():
+        time.sleep(listen_after)
         result[0] = tcp_channel(0, "127.0.0.1", port, timeout)
 
     t = threading.Thread(target=listen)
     t.start()
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            ch1 = tcp_channel(1, "127.0.0.1", port, timeout)
-            break
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
+    ch1 = tcp_channel(1, "127.0.0.1", port, timeout)
     t.join()
     return result[0], ch1
 
 
-def test_tcp_echo_1mb(rng):
-    ch0, ch1 = _tcp_pair()
-    payload = rng.integers(0, 1 << 64, size=1 << 17, dtype=np.uint64)  # 1 MB
+def _echo(ch0, ch1, payload):
     out = {}
 
     def run(ch):
@@ -200,9 +192,27 @@ def test_tcp_echo_1mb(rng):
     t.start()
     run(ch0)
     t.join()
+    return out
+
+
+def test_tcp_echo_1mb(rng):
+    ch0, ch1 = _tcp_pair()
+    payload = rng.integers(0, 1 << 64, size=1 << 17, dtype=np.uint64)  # 1 MB
+    out = _echo(ch0, ch1, payload)
     assert np.array_equal(out[0], payload)
     assert np.array_equal(out[1], payload)
     assert ch0.meter.bytes_sent == payload.nbytes
+    ch0.end.close()
+    ch1.end.close()
+
+
+def test_tcp_connect_retries_until_listening():
+    """Party 1 may start before party 0 listens."""
+    ch0, ch1 = _tcp_pair(timeout=2.0, listen_after=0.2)
+    payload = np.arange(4, dtype=np.uint64)
+    out = _echo(ch0, ch1, payload)
+    assert np.array_equal(out[0], payload) and np.array_equal(out[1], payload)
+    assert ch0.meter.rounds == ch1.meter.rounds == 1
     ch0.end.close()
     ch1.end.close()
 
@@ -249,5 +259,8 @@ def test_tcp_abort_reason_within_cap():
 
 
 def test_tcp_connection_refused():
-    with pytest.raises(OSError):
-        tcp_channel(1, "127.0.0.1", _free_port(), timeout=0.5)
+    """Nobody listening: the connect retries until its timeout, then raises."""
+    t0 = time.monotonic()
+    with pytest.raises(ConnectionRefusedError):
+        tcp_channel(1, "127.0.0.1", _free_port(), timeout=0.3)
+    assert 0.3 <= time.monotonic() - t0 < 1.0
