@@ -16,10 +16,11 @@ import numpy as np
 from . import costmodel, nas, tensorio
 from .nn import (AdapterConfig, ConfigMismatchError, derived_rng,
                  inference_party, pipeline_forward_float, private_inference,
-                 random_features, random_weights, weights_to_float)
-from .ring import DEFAULT_CONFIG, FixedPointConfig, FixedTensor
-from .runtime import (ENVS, WAN, ChannelError, MeterSummary, NetworkEnv,
-                      merge_meters, simulate_latency, tcp_channel)
+                 random_features, random_weights, weight_names, weight_shape,
+                 weights_to_float)
+from .ring import FixedPointConfig
+from .runtime import (ENVS, WAN, ChannelError, NetworkEnv, merge_meters,
+                      simulate_latency, tcp_channel)
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -133,14 +134,27 @@ def _run_config(ctx) -> RunConfig:
         sys.exit(EXIT_USAGE)
 
 
-def _load_features(path, cfg) -> list:
+def _load_features(path, config: AdapterConfig, cfg) -> list:
     arr = tensorio.load_tensor_file(path, dtype="f32")
     if arr.ndim == 2:
         arr = arr[None, ...]
-    if arr.ndim != 3:
+    want = (config.n_tokens, config.d_model)
+    if arr.ndim != 3 or arr.shape[1:] != want:
         raise tensorio.TensorFormatError(
-            f"features must be rank 2 or 3, got rank {arr.ndim}")
+            f"features must be {want} or [k, *{want}], got {arr.shape}")
     return [tensorio.tensor_as_fixed(a, "f32", cfg) for a in arr]
+
+
+def _load_weights(path, config: AdapterConfig, cfg) -> dict:
+    weights, _ = tensorio.load_weights_dir(path, cfg)
+    want = {n: weight_shape(config, n) for n in weight_names(config)}
+    got = {n: t.shape for n, t in weights.items()}
+    bad = {n: (got.get(n), want.get(n)) for n in sorted(want.keys() | got.keys())
+           if got.get(n) != want.get(n)}
+    if bad:
+        raise tensorio.TensorFormatError(
+            f"weights do not match the adapter config (name: shape, expected): {bad}")
+    return weights
 
 
 @main.command()
@@ -153,10 +167,8 @@ def infer(ctx, role, addr):
     rc = _run_config(ctx)
     cfg, config = rc.fixed, rc.adapter
 
-    weights_dir = rc.paths.get("weights_dir")
-    features_file = rc.paths.get("features_file")
-
-    def need(path, what):
+    def load(what, loader):
+        path = rc.paths.get(what)
         if not path:
             click.echo(f"config error: paths.{what} is required for infer",
                        err=True)
@@ -164,36 +176,30 @@ def infer(ctx, role, addr):
         if not Path(path).exists():
             click.echo(f"io error: {what} not found: {path}", err=True)
             sys.exit(EXIT_IO)
+        return loader(path, config, cfg)
 
+    weights = features = None
     try:
-        if role is None or role == "1":
-            need(weights_dir, "weights_dir")
-            weights, _ = tensorio.load_weights_dir(weights_dir, cfg)
-        if role is None or role == "0":
-            need(features_file, "features_file")
-            features = _load_features(features_file, cfg)
+        if role != "0":
+            weights = load("weights_dir", _load_weights)
+        if role != "1":
+            features = load("features_file", _load_features)
     except (OSError, tensorio.TensorFormatError) as e:
         click.echo(f"io error: {e}", err=True)
         sys.exit(EXIT_IO)
 
-    t0 = time.perf_counter()
+    t0, total = time.perf_counter(), None
     try:
         if role is None:
             result, meters = private_inference(config, weights, features,
                                                rc.seed, cfg)
-            meter = meters[0]
-            total = merge_meters(*meters)
+            meter, total = meters[0], merge_meters(*meters)
         else:
-            pid = int(role)
             host, port = addr.rsplit(":", 1)
-            channel = tcp_channel(pid, host, int(port))
-            proto = inference_party(
-                pid, config, rc.seed,
-                weights=weights if pid == 1 else None,
-                features=features if pid == 0 else None, cfg=cfg)
-            result = proto(channel)
+            channel = tcp_channel(int(role), host, int(port))
+            result = inference_party(int(role), config, rc.seed, weights,
+                                     features, cfg)(channel)
             meter = channel.meter
-            total = None
     except ConfigMismatchError as e:
         click.echo(f"protocol error: {e}", err=True)
         sys.exit(EXIT_PROTOCOL)

@@ -19,6 +19,10 @@ Attention is comparison-free: no Softmax, division, or sign test anywhere
 on that path.  The fixed-point twin runs the same wiring over plaintext
 ring words; the float64 twin is written independently (with the same
 inverse-sqrt polynomial).  Both serve as correctness oracles.
+
+The two-party protocol runs in three phases: setup (config handshake, then
+one share-distribution path for both roles), online (one pipeline per
+input) and result (party 1 returns its logit shares).
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ import numpy as np
 from . import kernels
 from .ring import (DEFAULT_CONFIG, FixedPointConfig, FixedTensor, decode_fixed,
                    encode_fixed, truncate)
-from .runtime import DEFAULT_TIMEOUT, Channel, run_two_party
+from .runtime import Channel, run_two_party
 from .sharing import (ArithShareTensor, PartyDealer, ltz, matmul_beaver_many,
                       mul_beaver_many, party_dealer, share_arith,
                       truncate_share)
@@ -228,15 +232,12 @@ def _row_mean(ctx, x):
     return _mul_public_real(ctx, total, 1.0 / x.shape[-1])
 
 
-def linear_private(ctx, x, w, bias=None, label: str = "linear"):
-    """x @ w (+ bias) on either backend: one round, output truncated back
-    to scale 2^f."""
+def linear_private(ctx, x, w):
+    """x @ w on either backend: one round, output truncated back to scale
+    2^f."""
     if x.shape[-1] != w.shape[-2]:
         raise ValueError(f"inner dimensions disagree: {x.shape} vs {w.shape}")
-    out = ctx.truncate(ctx.matmul(x, w, label))
-    if bias is not None:
-        out = out + bias
-    return out
+    return ctx.truncate(ctx.matmul(x, w, "linear"))
 
 
 def relu_private(ctx, x):
@@ -298,7 +299,7 @@ def linatten_private(ctx, q, k, v, wl):
     kt = ctx.wrap(k, np.ascontiguousarray(k.data.transpose(0, 2, 1)))
     scores = ctx.truncate(ctx.matmul(q, kt, "atten-qk"))  # [h, N, N]
     wl_b = ctx.wrap(wl, np.ascontiguousarray(np.broadcast_to(wl.data, (h, n, n))))
-    mixed = linear_private(ctx, wl_b, scores, label="linear")
+    mixed = linear_private(ctx, wl_b, scores)
     return ctx.truncate(ctx.matmul(mixed, v, "atten-av"))
 
 
@@ -399,96 +400,88 @@ def derived_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, features,
+           cfg: FixedPointConfig):
+    """Setup phase: a handshake round, which checks both parties run the
+    same configuration and tells party 1 how many inputs follow, then one
+    distribution round in which each party splits its own tensors (party 0
+    its features, party 1 its weights in ``weight_names`` order), keeps
+    ``shares[party_id]`` and sends ``shares[1 - party_id]``."""
+    channel, pid = ctx.channel, ctx.channel.party_id
+    digest = config.digest_words(extra=(cfg.frac_bits, len(features) if pid == 0 else 0))
+    (peer_digest,) = channel.exchange("setup", [digest])
+    if not np.array_equal(digest[:-1], peer_digest[:-1]):
+        raise ConfigMismatchError(
+            f"peer runs a different configuration: {peer_digest.tolist()} "
+            f"vs {digest.tolist()}")
+
+    names = weight_names(config)
+    own, tag, peer_shapes = (
+        (features, "features", [weight_shape(config, n) for n in names]) if pid == 0 else
+        ([weights[n] for n in names], "weights",
+         [(config.n_tokens, config.d_model)] * int(peer_digest[-1])))
+    rng = derived_rng(seed, tag)
+    shares = [share_arith(t, rng) for t in own]
+    got = channel.exchange("setup", [s[1 - pid].data for s in shares], peer_shapes)
+    kept = [s[pid] for s in shares]
+    received = [ArithShareTensor(pid, arr, cfg) for arr in got]
+    inputs, wlist = (kept, received) if pid == 0 else (received, kept)
+    return inputs, dict(zip(names, wlist))
+
+
+def _online(ctx: PartyContext, inputs: list, wshares: dict, config: AdapterConfig):
+    """Online phase: one pipeline per input; only masked Beaver openings
+    may cross the wire.  Returns (logit shares, rounds per input)."""
+    meter, logits, rounds = ctx.channel.meter, [], []
+    ctx.channel.forbid_plain_open = True
+    for x in inputs:
+        snap = meter.snapshot()
+        logits.append(pipeline_forward_private(ctx, x, wshares, config))
+        rounds.append(meter.since(snap)[0])
+    ctx.channel.forbid_plain_open = False
+    return logits, rounds
+
+
+def _result(ctx: PartyContext, logits: list, rounds: list, cfg: FixedPointConfig) -> dict:
+    """Result phase: party 1 returns its logit shares in one round; only
+    party 0 learns the plaintext prediction."""
+    if ctx.channel.party_id == 1:
+        ctx.channel.exchange("result", [s.data for s in logits], [(0,)])
+        return {"pipeline_rounds": rounds}
+    got = ctx.channel.exchange("result", [np.zeros(0, np.uint64)], [s.shape for s in logits])
+    return {"logits": [decode_fixed(s.data + peer, cfg) for s, peer in zip(logits, got)],
+            "pipeline_rounds": rounds}
+
+
 def inference_party(party_id: int, config: AdapterConfig, seed: int,
                     weights: dict = None, features: list = None,
                     cfg: FixedPointConfig = DEFAULT_CONFIG):
-    """Build the protocol closure for one party.
-
-    Party 0 is the feature holder (model user); party 1 holds the adapter
-    weights (service provider).  Setup (weight/feature distribution) and
-    the final result transfer are metered under their own labels so the
-    pipeline round ledger stays clean.
-    """
+    """Build the protocol closure for one party: party 0 holds the features
+    (model user), party 1 the adapter weights (service provider).  The
+    closure runs the setup, online and result phases in order; setup and
+    result have their own meter labels, so the pipeline ledger stays clean."""
     if party_id == 0 and features is None:
         raise ValueError("party 0 needs the feature tensors")
     if party_id == 1 and weights is None:
         raise ValueError("party 1 needs the weights")
-    names = weight_names(config)
-    feat_shape = (config.n_tokens, config.d_model)
 
     def protocol(channel: Channel):
-        dealer = party_dealer(
-            int(derived_rng(seed, "dealer").integers(1 << 62)), party_id)
-        ctx = PartyContext(channel, dealer)
-
-        # Handshake: both sides verify they run the same configuration;
-        # the model-user side also announces how many inputs follow.
-        n_inputs = len(features) if party_id == 0 else 0
-        digest = config.digest_words(extra=(cfg.frac_bits, n_inputs))
-        (peer_digest,) = channel.exchange("setup", [digest])
-        if not np.array_equal(digest[:-1], peer_digest[:-1]):
-            raise ConfigMismatchError(
-                f"peer runs a different configuration: {peer_digest.tolist()} "
-                f"vs {digest.tolist()}")
-        if party_id == 1:
-            n_inputs = int(peer_digest[-1])
-
-        # Distribution: feature shares flow one way, weight shares the
-        # other, in a single batched round.
-        if party_id == 0:
-            rng = derived_rng(seed, "features")
-            inputs, send = [], []
-            for feat in features:
-                s0, s1 = share_arith(feat, rng)
-                inputs.append(s0)
-                send.append(s1.data)
-            recv_shapes = [weight_shape(config, n) for n in names]
-            got = channel.exchange("setup", send, recv_shapes)
-            wshares = {n: ArithShareTensor(0, arr, cfg)
-                       for n, arr in zip(names, got)}
-        else:
-            rng = derived_rng(seed, "weights")
-            send, wshares = [], {}
-            for n in names:
-                s0, s1 = share_arith(weights[n], rng)
-                wshares[n] = s1
-                send.append(s0.data)
-            got = channel.exchange("setup", send, [feat_shape] * n_inputs)
-            inputs = [ArithShareTensor(1, arr, cfg) for arr in got]
-
-        # Online phase: only masked Beaver openings may cross the wire.
-        channel.forbid_plain_open = True
-        logits_shares = []
-        rounds_per_input = []
-        for x in inputs:
-            snap = channel.meter.snapshot()
-            logits_shares.append(pipeline_forward_private(ctx, x, wshares, config))
-            rounds_per_input.append(channel.meter.since(snap)[0])
-        channel.forbid_plain_open = False
-
-        # Result retrieval: the provider returns its logit shares; only
-        # the model user learns the plaintext prediction.
-        if party_id == 0:
-            got = channel.exchange("result", [np.zeros(0, np.uint64)],
-                                   [s.shape for s in logits_shares])
-            logits = [decode_fixed(s.data + peer, cfg)
-                      for s, peer in zip(logits_shares, got)]
-            return {"logits": logits, "pipeline_rounds": rounds_per_input}
-        channel.exchange("result", [s.data for s in logits_shares],
-                         [(0,)])
-        return {"pipeline_rounds": rounds_per_input}
+        dealer_seed = int(derived_rng(seed, "dealer").integers(1 << 62))
+        ctx = PartyContext(channel, party_dealer(dealer_seed, party_id))
+        inputs, wshares = _setup(ctx, config, seed, weights, features, cfg)
+        logits, rounds = _online(ctx, inputs, wshares, config)
+        return _result(ctx, logits, rounds, cfg)
 
     return protocol
 
 
 def private_inference(config: AdapterConfig, weights: dict, features: list,
-                      seed: int, cfg: FixedPointConfig = DEFAULT_CONFIG,
-                      timeout: float = DEFAULT_TIMEOUT):
+                      seed: int, cfg: FixedPointConfig = DEFAULT_CONFIG):
     """In-process two-party inference over a list of feature tensors.
 
     Returns (result dict from the model-user side, (meter0, meter1)).
     """
     p0 = inference_party(0, config, seed, features=features, cfg=cfg)
     p1 = inference_party(1, config, seed, weights=weights, cfg=cfg)
-    out0, _, meters = run_two_party(p0, p1, timeout=timeout)
+    out0, _, meters = run_two_party(p0, p1)
     return out0, meters

@@ -119,6 +119,32 @@ def test_infer_missing_weights(runner, tmp_path):
     assert "nope" in res.output
 
 
+@pytest.mark.parametrize("shape", [(2, 8, 16), (2, 4, 32), (4, 32)],
+                         ids=["d_model", "n_tokens", "rank-2 n_tokens"])
+def test_infer_rejects_features_of_another_shape(runner, tmp_path, shape):
+    cfg_path = _write_demo_files(tmp_path)
+    feats = np.zeros(shape, np.float32)
+    tensorio.save_tensor_file(tmp_path / "features.bin", feats, "f32")
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
+    assert res.exit_code == 3, res.output
+    assert "io error: features must be" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("other", [{"r": 16}, {"s": 2}], ids=["r", "s"])
+def test_infer_rejects_weights_of_another_config(runner, tmp_path, other):
+    """Weights saved for another (r, s) fail before any round, also when
+    they hold every tensor the configured adapter needs (s=2 for s=1)."""
+    cfg_path = _write_demo_files(tmp_path, config=AdapterConfig(**other))
+    doc = json.loads(cfg_path.read_text())
+    doc["adapter"] = {"h": 1, "r": 8, "s": 1}
+    cfg_path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
+    assert res.exit_code == 3, res.output
+    assert "io error: weights do not match the adapter config" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_is_usage_error(runner, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"bogus": 1}')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpcadapter.costmodel import (COMM_GB_COEFFS, PUBLISHED_WAN, SFT_BASELINE,
+from mpcadapter.costmodel import (PUBLISHED_WAN, SFT_BASELINE,
                                   CostCoefficients, ProfileSample,
                                   UnderDeterminedError, estimate_comm_gb,
                                   estimate_latency, estimate_rounds,

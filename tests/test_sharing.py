@@ -4,7 +4,6 @@ from protocol_helpers import run_protocol
 
 from mpcadapter.nn import PlainContext, linear_private
 from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed
-from mpcadapter.runtime import run_two_party
 from mpcadapter.sharing import (ArithShareTensor, AuditError, BinShareTensor,
                                 TripleDealer, TripleShare, a2b, and_beaver_many,
                                 b2a_full, bit_to_arith, ltz, matmul_beaver_many,
