@@ -18,7 +18,6 @@ from .nn import (AdapterConfig, ConfigMismatchError, derived_rng,
                  inference_party, pipeline_forward_float, private_inference,
                  random_features, random_weights, weight_names, weight_shape,
                  weights_to_float)
-from .ring import FixedPointConfig
 from .runtime import (ENVS, WAN, ChannelError, NetworkEnv, merge_meters,
                       simulate_latency, tcp_channel)
 
@@ -33,7 +32,6 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = {
-    "fixed_point": {"frac_bits"},
     "adapter": {"h", "r", "s", "scaler", "d_model", "n_tokens", "n_classes"},
     "env": {"label", "bandwidth_mbps", "latency_ms"},
     "paths": {"weights_dir", "features_file", "utility_table", "output_dir"},
@@ -43,7 +41,6 @@ _SECTIONS = {
 @dataclass
 class RunConfig:
     adapter: AdapterConfig
-    fixed: FixedPointConfig
     env: NetworkEnv
     paths: dict
     seed: int
@@ -59,7 +56,6 @@ class RunConfig:
                 raise ConfigError(f"unknown keys in {section}: {sorted(bad)}")
         try:
             adapter = AdapterConfig(**doc.get("adapter", {}))
-            fixed = FixedPointConfig(**doc.get("fixed_point", {}))
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
         env_doc = doc.get("env")
@@ -76,7 +72,7 @@ class RunConfig:
                 raise ConfigError(f"unknown env label {label!r}")
         else:
             env = WAN
-        return cls(adapter=adapter, fixed=fixed, env=env,
+        return cls(adapter=adapter, env=env,
                    paths=doc.get("paths", {}), seed=int(doc.get("seed", 0)))
 
 
@@ -134,7 +130,7 @@ def _run_config(ctx) -> RunConfig:
         sys.exit(EXIT_USAGE)
 
 
-def _load_features(path, config: AdapterConfig, cfg) -> list:
+def _load_features(path, config: AdapterConfig) -> list:
     arr = tensorio.load_tensor_file(path, dtype="f32")
     if arr.ndim == 2:
         arr = arr[None, ...]
@@ -142,11 +138,11 @@ def _load_features(path, config: AdapterConfig, cfg) -> list:
     if arr.ndim != 3 or arr.shape[1:] != want:
         raise tensorio.TensorFormatError(
             f"features must be {want} or [k, *{want}], got {arr.shape}")
-    return [tensorio.tensor_as_fixed(a, "f32", cfg) for a in arr]
+    return [tensorio.tensor_as_fixed(a, "f32") for a in arr]
 
 
-def _load_weights(path, config: AdapterConfig, cfg) -> dict:
-    weights, _ = tensorio.load_weights_dir(path, cfg)
+def _load_weights(path, config: AdapterConfig) -> dict:
+    weights, _ = tensorio.load_weights_dir(path)
     want = {n: weight_shape(config, n) for n in weight_names(config)}
     got = {n: t.shape for n, t in weights.items()}
     bad = {n: (got.get(n), want.get(n)) for n in sorted(want.keys() | got.keys())
@@ -165,7 +161,7 @@ def _load_weights(path, config: AdapterConfig, cfg) -> dict:
 def infer(ctx, role, addr):
     """Run private inference over the configured weights and features."""
     rc = _run_config(ctx)
-    cfg, config = rc.fixed, rc.adapter
+    config = rc.adapter
 
     def load(what, loader):
         path = rc.paths.get(what)
@@ -176,7 +172,7 @@ def infer(ctx, role, addr):
         if not Path(path).exists():
             click.echo(f"io error: {what} not found: {path}", err=True)
             sys.exit(EXIT_IO)
-        return loader(path, config, cfg)
+        return loader(path, config)
 
     weights = features = None
     try:
@@ -191,14 +187,13 @@ def infer(ctx, role, addr):
     t0, total = time.perf_counter(), None
     try:
         if role is None:
-            result, meters = private_inference(config, weights, features,
-                                               rc.seed, cfg)
+            result, meters = private_inference(config, weights, features, rc.seed)
             meter, total = meters[0], merge_meters(*meters)
         else:
             host, port = addr.rsplit(":", 1)
             channel = tcp_channel(int(role), host, int(port))
             result = inference_party(int(role), config, rc.seed, weights,
-                                     features, cfg)(channel)
+                                     features)(channel)
             meter = channel.meter
     except ConfigMismatchError as e:
         click.echo(f"protocol error: {e}", err=True)
@@ -246,13 +241,12 @@ def infer(ctx, role, addr):
 def verify(ctx, n_inputs, tolerance, agreement):
     """Check the private pipeline against the float64 reference."""
     rc = _run_config(ctx)
-    cfg, config = rc.fixed, rc.adapter
-    wrng = derived_rng(rc.seed, "weights")
-    weights = random_weights(config, wrng, cfg)
+    config = rc.adapter
+    weights = random_weights(config, derived_rng(rc.seed, "weights"))
     irng = derived_rng(rc.seed, "inputs")
-    features = [random_features(config, irng, cfg) for _ in range(n_inputs)]
+    features = [random_features(config, irng) for _ in range(n_inputs)]
 
-    result, _ = private_inference(config, weights, features, rc.seed, cfg)
+    result, _ = private_inference(config, weights, features, rc.seed)
     wf = weights_to_float(weights)
     max_err, agree, worst = 0.0, 0, -1
     for i, (feat, logits) in enumerate(zip(features, result["logits"])):
@@ -276,25 +270,38 @@ def verify(ctx, n_inputs, tolerance, agreement):
 @main.command()
 @click.pass_context
 def estimate(ctx):
-    """Closed-form latency and traffic estimates for the configured adapter."""
+    """Closed-form latency and traffic estimates for the configured adapter,
+    against the published full-model fine-tuning baseline."""
     rc = _run_config(ctx)
     config = rc.adapter
+    rounds = costmodel.estimate_rounds(config)
+    gb = costmodel.estimate_comm_gb(config)
     comm, comp, total = costmodel.estimate_latency(config)
+    base = costmodel.SFT_BASELINE
     doc = {
         "config": {"h": config.h, "r": config.r, "s": config.s},
-        "rounds": costmodel.estimate_rounds(config),
-        "comm_gb": costmodel.estimate_comm_gb(config),
+        "rounds": rounds,
+        "comm_gb": gb,
         "wan_comm_time_s": comm,
         "wan_comp_time_s": comp,
         "wan_total_time_s": total,
-        "source": "published WAN cost-model coefficients",
+        "baseline": base,
+        "round_speedup": base["rounds"] / rounds,
+        "traffic_ratio": base["comm_gb"] / gb,
+        "latency_speedup": base["wan_total_time_s"] / total,
+        "source": "published WAN cost-model coefficients and baseline measurements",
     }
     lines = [
         f"config (h={config.h}, r={config.r}, s={config.s})",
-        f"rounds: {doc['rounds']}",
-        f"traffic: {doc['comm_gb']:.4f} GB  [published linear model]",
-        f"WAN latency: {total:.2f} s (comm {comm:.2f} + comp {comp:.2f})"
-        "  [published linear model]",
+        f"{'':24}{'adapter':>12}{'baseline':>12}{'ratio':>10}",
+        f"{'comm rounds':24}{rounds:>12}{base['rounds']:>12}"
+        f"{doc['round_speedup']:>9.2f}x",
+        f"{'traffic (GB)':24}{gb:>12.4f}{base['comm_gb']:>12.2f}"
+        f"{doc['traffic_ratio']:>9.1f}x",
+        f"{'WAN latency (s)':24}{total:>12.2f}{base['wan_total_time_s']:>12.2f}"
+        f"{doc['latency_speedup']:>9.2f}x",
+        f"  of which comm / comp: {comm:.2f} / {comp:.2f} s",
+        "baseline figures and model coefficients are published measurements",
     ]
     _emit(ctx.obj, doc, lines)
 
@@ -325,8 +332,7 @@ def profile(ctx, grid, out_path):
                 configs.append(AdapterConfig(
                     h=h, r=r, s=s, scaler=base.scaler, d_model=base.d_model,
                     n_tokens=base.n_tokens, n_classes=base.n_classes))
-    samples = costmodel.profile_pipeline(configs, rc.env, seed=rc.seed,
-                                         cfg=rc.fixed)
+    samples = costmodel.profile_pipeline(configs, rc.env, seed=rc.seed)
     costmodel.save_samples_csv(out_path, samples)
     doc = {"samples": len(samples), "out": str(out_path)}
     _emit(ctx.obj, doc, [f"profiled {len(samples)} configs -> {out_path}"])
@@ -426,41 +432,6 @@ def search(ctx, utility_target, latency_target, patience, heads, ranks,
              f"modeled latency: {doc['latency_s']:.3f} s  "
              "[published linear model]",
              f"samples: {result.samples}  evaluations: {len(result.evaluations)}"]
-    _emit(ctx.obj, doc, lines)
-
-
-@main.command()
-@click.pass_context
-def report(ctx):
-    """Compare the configured adapter against the published full-model
-    fine-tuning baseline."""
-    rc = _run_config(ctx)
-    config = rc.adapter
-    rounds = costmodel.estimate_rounds(config)
-    gb = costmodel.estimate_comm_gb(config)
-    comm, comp, total = costmodel.estimate_latency(config)
-    base = costmodel.SFT_BASELINE
-    doc = {
-        "config": {"h": config.h, "r": config.r, "s": config.s},
-        "rounds": rounds,
-        "comm_gb": gb,
-        "wan_latency_s": total,
-        "baseline": base,
-        "round_speedup": base["rounds"] / rounds,
-        "traffic_ratio": base["comm_gb"] / gb,
-        "latency_speedup": base["wan_total_time_s"] / total,
-        "source": "baseline and coefficients are published measurements",
-    }
-    lines = [
-        f"{'':24}{'adapter':>12}{'baseline':>12}{'ratio':>10}",
-        f"{'comm rounds':24}{rounds:>12}{base['rounds']:>12}"
-        f"{doc['round_speedup']:>9.2f}x",
-        f"{'traffic (GB)':24}{gb:>12.2f}{base['comm_gb']:>12.2f}"
-        f"{doc['traffic_ratio']:>9.1f}x",
-        f"{'WAN latency (s)':24}{total:>12.2f}{base['wan_total_time_s']:>12.2f}"
-        f"{doc['latency_speedup']:>9.2f}x",
-        "baseline figures and model coefficients are published measurements",
-    ]
     _emit(ctx.obj, doc, lines)
 
 

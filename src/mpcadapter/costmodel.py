@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import AdapterConfig, private_inference, random_features, random_weights
-from .ring import DEFAULT_CONFIG
 from .runtime import NetworkEnv, merge_meters, simulate_latency
 
 ROUNDS_PER_ADAPTER = 26
@@ -137,17 +136,16 @@ def fit_cost_model(samples, env_label: str = "custom"):
     return CostCoefficients(env=env_label, comm=comm, comp=comp), r2_comm, r2_comp
 
 
-def profile_pipeline(configs, env: NetworkEnv, seed: int = 0,
-                     cfg=DEFAULT_CONFIG) -> list:
+def profile_pipeline(configs, env: NetworkEnv, seed: int = 0) -> list:
     """Run the real engine per config; comm_time comes from the latency
     simulator, comp_time from the wall clock."""
     samples = []
     for config in configs:
         rng = np.random.Generator(np.random.PCG64(seed))
-        weights = random_weights(config, rng, cfg)
-        features = [random_features(config, rng, cfg)]
+        weights = random_weights(config, rng)
+        features = [random_features(config, rng)]
         t0 = time.perf_counter()
-        result, meters = private_inference(config, weights, features, seed, cfg)
+        result, meters = private_inference(config, weights, features, seed)
         wall = time.perf_counter() - t0
         merged = merge_meters(*meters)
         rounds = result["pipeline_rounds"][0]

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ring import (DEFAULT_CONFIG, FixedPointConfig, FixedTensor, decode_fixed,
-                   encode_fixed, truncate)
+from .ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed, truncate
 from .runtime import Channel, run_two_party
 from .sharing import (ArithShareTensor, PartyDealer, ltz, matmul_beaver_many,
                       mul_beaver_many, party_dealer, share_arith,
@@ -89,7 +88,7 @@ class AdapterConfig:
         return 2 * self.r
 
     def digest_words(self, extra=()) -> np.ndarray:
-        fields = (self.h, self.r, self.s, int(round(self.scaler * 65536)),
+        fields = (self.h, self.r, self.s, int(round(self.scaler * DEFAULT_CONFIG.scale)),
                   self.d_model, self.n_tokens, self.n_classes) + tuple(extra)
         return np.array(fields, dtype=np.uint64)
 
@@ -122,8 +121,7 @@ def weight_shape(config: AdapterConfig, name: str):
     return adapter_weight_shapes(config)[key]
 
 
-def random_weights(config: AdapterConfig, rng,
-                   cfg: FixedPointConfig = DEFAULT_CONFIG) -> dict:
+def random_weights(config: AdapterConfig, rng) -> dict:
     """Random adapter weights, scaled so LayerNorm inputs keep variance
     near 1 (the inverse-sqrt window)."""
     d, r, n = config.d_model, config.r, config.n_tokens
@@ -142,14 +140,12 @@ def random_weights(config: AdapterConfig, rng,
         else:
             fan_in = shape[0]
             vals = rng.standard_normal(shape) / np.sqrt(fan_in)
-        out[name] = FixedTensor.from_real(vals, cfg)
+        out[name] = FixedTensor.from_real(vals)
     return out
 
 
-def random_features(config: AdapterConfig, rng,
-                    cfg: FixedPointConfig = DEFAULT_CONFIG) -> FixedTensor:
-    return FixedTensor.from_real(
-        rng.standard_normal((config.n_tokens, config.d_model)), cfg)
+def random_features(config: AdapterConfig, rng) -> FixedTensor:
+    return FixedTensor.from_real(rng.standard_normal((config.n_tokens, config.d_model)))
 
 
 def weights_to_float(weights: dict) -> dict:
@@ -177,7 +173,7 @@ class PartyContext:
     dealer: PartyDealer
 
     def wrap(self, like: ArithShareTensor, data) -> ArithShareTensor:
-        return ArithShareTensor(like.party_id, data, like.config)
+        return ArithShareTensor(like.party_id, data)
 
     def truncate(self, x: ArithShareTensor) -> ArithShareTensor:
         return truncate_share(x)
@@ -208,10 +204,10 @@ class PlainContext:
     """
 
     def wrap(self, like: FixedTensor, data) -> FixedTensor:
-        return FixedTensor(data, like.config)
+        return FixedTensor(data)
 
     def truncate(self, x: FixedTensor) -> FixedTensor:
-        return self.wrap(x, truncate(x.data, x.config))
+        return FixedTensor(truncate(x.data))
 
     def mul_many(self, pairs, label: str) -> list:
         return [self.wrap(x, x.data * y.data) for x, y in pairs]
@@ -224,7 +220,7 @@ class PlainContext:
 
 
 def _mul_public_real(ctx, x, value: float):
-    return ctx.truncate(ctx.wrap(x, x.data * encode_fixed(value, x.config)))
+    return ctx.truncate(ctx.wrap(x, x.data * encode_fixed(value)))
 
 
 def _row_mean(ctx, x):
@@ -400,15 +396,15 @@ def derived_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, features,
-           cfg: FixedPointConfig):
+def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, features):
     """Setup phase: a handshake round, which checks both parties run the
     same configuration and tells party 1 how many inputs follow, then one
     distribution round in which each party splits its own tensors (party 0
     its features, party 1 its weights in ``weight_names`` order), keeps
     ``shares[party_id]`` and sends ``shares[1 - party_id]``."""
     channel, pid = ctx.channel, ctx.channel.party_id
-    digest = config.digest_words(extra=(cfg.frac_bits, len(features) if pid == 0 else 0))
+    digest = config.digest_words(
+        extra=(DEFAULT_CONFIG.frac_bits, len(features) if pid == 0 else 0))
     (peer_digest,) = channel.exchange("setup", [digest])
     if not np.array_equal(digest[:-1], peer_digest[:-1]):
         raise ConfigMismatchError(
@@ -424,7 +420,7 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
     shares = [share_arith(t, rng) for t in own]
     got = channel.exchange("setup", [s[1 - pid].data for s in shares], peer_shapes)
     kept = [s[pid] for s in shares]
-    received = [ArithShareTensor(pid, arr, cfg) for arr in got]
+    received = [ArithShareTensor(pid, arr) for arr in got]
     inputs, wlist = (kept, received) if pid == 0 else (received, kept)
     return inputs, dict(zip(names, wlist))
 
@@ -442,20 +438,19 @@ def _online(ctx: PartyContext, inputs: list, wshares: dict, config: AdapterConfi
     return logits, rounds
 
 
-def _result(ctx: PartyContext, logits: list, rounds: list, cfg: FixedPointConfig) -> dict:
+def _result(ctx: PartyContext, logits: list, rounds: list) -> dict:
     """Result phase: party 1 returns its logit shares in one round; only
     party 0 learns the plaintext prediction."""
     if ctx.channel.party_id == 1:
         ctx.channel.exchange("result", [s.data for s in logits], [(0,)])
         return {"pipeline_rounds": rounds}
     got = ctx.channel.exchange("result", [np.zeros(0, np.uint64)], [s.shape for s in logits])
-    return {"logits": [decode_fixed(s.data + peer, cfg) for s, peer in zip(logits, got)],
+    return {"logits": [decode_fixed(s.data + peer) for s, peer in zip(logits, got)],
             "pipeline_rounds": rounds}
 
 
 def inference_party(party_id: int, config: AdapterConfig, seed: int,
-                    weights: dict = None, features: list = None,
-                    cfg: FixedPointConfig = DEFAULT_CONFIG):
+                    weights: dict = None, features: list = None):
     """Build the protocol closure for one party: party 0 holds the features
     (model user), party 1 the adapter weights (service provider).  The
     closure runs the setup, online and result phases in order; setup and
@@ -468,20 +463,20 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
     def protocol(channel: Channel):
         dealer_seed = int(derived_rng(seed, "dealer").integers(1 << 62))
         ctx = PartyContext(channel, party_dealer(dealer_seed, party_id))
-        inputs, wshares = _setup(ctx, config, seed, weights, features, cfg)
+        inputs, wshares = _setup(ctx, config, seed, weights, features)
         logits, rounds = _online(ctx, inputs, wshares, config)
-        return _result(ctx, logits, rounds, cfg)
+        return _result(ctx, logits, rounds)
 
     return protocol
 
 
 def private_inference(config: AdapterConfig, weights: dict, features: list,
-                      seed: int, cfg: FixedPointConfig = DEFAULT_CONFIG):
+                      seed: int):
     """In-process two-party inference over a list of feature tensors.
 
     Returns (result dict from the model-user side, (meter0, meter1)).
     """
-    p0 = inference_party(0, config, seed, features=features, cfg=cfg)
-    p1 = inference_party(1, config, seed, weights=weights, cfg=cfg)
+    p0 = inference_party(0, config, seed, features=features)
+    p1 = inference_party(1, config, seed, weights=weights)
     out0, _, meters = run_two_party(p0, p1)
     return out0, meters

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ring import DEFAULT_CONFIG, RING_BITS, FixedPointConfig, FixedTensor
+from .ring import DEFAULT_CONFIG, RING_BITS, FixedTensor
 from .runtime import Channel
 
 
@@ -38,7 +38,6 @@ class AuditError(RuntimeError):
 class ArithShareTensor:
     party_id: int
     data: np.ndarray
-    config: FixedPointConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.uint64)
@@ -50,16 +49,14 @@ class ArithShareTensor:
     def _check(self, other):
         if self.party_id != other.party_id:
             raise ValueError("shares belong to different parties")
-        if self.config != other.config:
-            raise ValueError("fixed-point config mismatch")
 
     def __add__(self, other):
         self._check(other)
-        return ArithShareTensor(self.party_id, self.data + other.data, self.config)
+        return ArithShareTensor(self.party_id, self.data + other.data)
 
     def __sub__(self, other):
         self._check(other)
-        return ArithShareTensor(self.party_id, self.data - other.data, self.config)
+        return ArithShareTensor(self.party_id, self.data - other.data)
 
 
 
@@ -111,8 +108,8 @@ BINARY = (np.bitwise_xor, np.bitwise_xor)
 class TripleDealer:
     """Trusted dealer with full knowledge of the triples it issues.
 
-    Deterministic: the same seed yields the identical triple stream.  Use
-    ``for_party`` to obtain the per-party view handed to protocol code.
+    Deterministic: the same seed yields the identical triple stream.
+    ``party_dealer`` wraps it in the per-party view handed to protocol code.
     """
 
     def __init__(self, seed: int):
@@ -149,9 +146,6 @@ class TripleDealer:
     def bin_input_pair(self, shape):
         return self._input_pair(shape, np.bitwise_and, BINARY)
 
-    def for_party(self, party_id: int) -> "PartyDealer":
-        return PartyDealer(self, party_id)
-
 
 class PartyDealer:
     """The view of a dealer held by one party."""
@@ -178,7 +172,7 @@ class PartyDealer:
 
 def party_dealer(seed: int, party_id: int) -> PartyDealer:
     """Replica dealer: both parties construct one from the shared seed."""
-    return TripleDealer(seed).for_party(party_id)
+    return PartyDealer(TripleDealer(seed), party_id)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +180,13 @@ def party_dealer(seed: int, party_id: int) -> PartyDealer:
 
 def share_arith(x: FixedTensor, rng) -> tuple:
     s0 = _rand_words(rng, x.shape)
-    return (ArithShareTensor(0, s0, x.config),
-            ArithShareTensor(1, x.data - s0, x.config))
+    return ArithShareTensor(0, s0), ArithShareTensor(1, x.data - s0)
 
 
 def reconstruct_arith(s0: ArithShareTensor, s1: ArithShareTensor) -> FixedTensor:
     if s0.shape != s1.shape:
         raise ValueError(f"share shape mismatch: {s0.shape} vs {s1.shape}")
-    if s0.config != s1.config:
-        raise ValueError("fixed-point config mismatch")
-    return FixedTensor(s0.data + s1.data, s0.config)
+    return FixedTensor(s0.data + s1.data)
 
 
 def share_bin(x: np.ndarray, rng) -> tuple:
@@ -213,7 +204,7 @@ def open_values(share: ArithShareTensor, channel: Channel,
     if channel.forbid_plain_open:
         raise AuditError("plain opening is forbidden on this channel")
     (peer,) = channel.exchange(label, [share.data])
-    return FixedTensor(share.data + peer, share.config)
+    return FixedTensor(share.data + peer)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +255,7 @@ def _known_product(own, pair: InputPairShare, channel: Channel, label,
 def _arith_beaver_many(pairs, triples, channel: Channel, label, product):
     words = _beaver_many([(x.data, y.data) for x, y in pairs], triples, channel,
                          label, product, ARITH)
-    return [ArithShareTensor(x.party_id, z, x.config) for (x, _), z in zip(pairs, words)]
+    return [ArithShareTensor(x.party_id, z) for (x, _), z in zip(pairs, words)]
 
 
 def mul_beaver_many(pairs, triples, channel: Channel,
@@ -290,12 +281,12 @@ def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
     reconstruction is within 1 ulp of the true truncated value except
     with negligible probability under the 2^62 headroom guard.
     """
-    f = np.uint64(x.config.frac_bits)
+    f = np.uint64(DEFAULT_CONFIG.frac_bits)
     if x.party_id == 0:
         data = x.data >> f
     else:
         data = np.uint64(0) - ((np.uint64(0) - x.data) >> f)
-    return ArithShareTensor(x.party_id, data, x.config)
+    return ArithShareTensor(x.party_id, data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +338,11 @@ def bit_to_arith(b: BinShareTensor, pair: InputPairShare,
         raise ValueError("bit_to_arith expects 0/1-valued shares")
     prod, _ = _known_product(own, pair, channel, "bit-open", np.multiply, ARITH)
     data = own - np.uint64(2) * prod
-    return ArithShareTensor(channel.party_id, data, DEFAULT_CONFIG)
+    return ArithShareTensor(channel.party_id, data)
 
 
-def b2a_full(x: BinShareTensor, dealer: PartyDealer, channel: Channel,
-             config: FixedPointConfig = DEFAULT_CONFIG) -> ArithShareTensor:
+def b2a_full(x: BinShareTensor, dealer: PartyDealer,
+             channel: Channel) -> ArithShareTensor:
     """Binary -> arithmetic over all 64 bits, batched into one round."""
     shape = x.shape
     planes = np.stack([(x.data >> np.uint64(j)) & np.uint64(1)
@@ -362,13 +353,11 @@ def b2a_full(x: BinShareTensor, dealer: PartyDealer, channel: Channel,
         (RING_BITS,) + (1,) * len(shape))
     data = np.sum(bit_shares.data * weights, axis=0, dtype=np.uint64) if shape \
         else np.sum(bit_shares.data * weights.ravel(), dtype=np.uint64)
-    return ArithShareTensor(x.party_id, np.asarray(data, np.uint64), config)
+    return ArithShareTensor(x.party_id, np.asarray(data, np.uint64))
 
 
 def ltz(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> ArithShareTensor:
     """Private sign test: 1 iff x < 0, at integer scale.  8 rounds."""
     bits = a2b(x, dealer, channel)
     msb = bits.shift_right_logical(RING_BITS - 1)
-    pair = dealer.arith_input_pair(x.shape)
-    b = bit_to_arith(msb, pair, channel)
-    return ArithShareTensor(x.party_id, b.data, x.config)
+    return bit_to_arith(msb, dealer.arith_input_pair(x.shape), channel)

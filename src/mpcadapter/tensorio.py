@@ -8,7 +8,9 @@ manifest next to the payload ("f32" = row-major IEEE-754 single, encoded
 to ring elements on load; "u64ring" = raw ring elements).
 
 A weights directory holds manifest.json plus weights.bin, the
-concatenation of the tensor records in manifest order.
+concatenation of the tensor records in manifest order.  The manifest
+declares ``frac_bits``, which must be the engine's 16: "u64ring" payloads
+are ring words at that scale.
 """
 
 import io
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ring import FixedPointConfig, FixedTensor, encode_fixed
+from .ring import DEFAULT_CONFIG, FixedTensor, encode_fixed
 
 MAGIC = b"CPFT"
 VERSION = 1
@@ -43,21 +45,26 @@ def write_tensor(buf, array: np.ndarray, dtype: str):
     buf.write(payload.tobytes())
 
 
+def _read_exact(buf, n: int, what: str) -> bytes:
+    raw = buf.read(n)
+    if len(raw) != n:
+        raise TensorFormatError(f"truncated tensor {what}")
+    return raw
+
+
 def read_tensor(buf, dtype: str) -> np.ndarray:
     if dtype not in DTYPES:
         raise TensorFormatError(f"unknown payload dtype {dtype!r}")
     magic = buf.read(4)
     if magic != MAGIC:
         raise TensorFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, rank = struct.unpack("<HH", buf.read(4))
+    version, rank = struct.unpack("<HH", _read_exact(buf, 4, "header"))
     if version != VERSION:
         raise TensorFormatError(f"unsupported format version {version}")
-    shape = struct.unpack(f"<{rank}Q", buf.read(8 * rank))
+    shape = struct.unpack(f"<{rank}Q", _read_exact(buf, 8 * rank, "header"))
     count = int(np.prod(shape, dtype=np.int64)) if rank else 1
     itemsize = 4 if dtype == "f32" else 8
-    raw = buf.read(count * itemsize)
-    if len(raw) != count * itemsize:
-        raise TensorFormatError("truncated tensor payload")
+    raw = _read_exact(buf, count * itemsize, "payload")
     kind = "<f4" if dtype == "f32" else "<u8"
     return np.frombuffer(raw, dtype=kind).reshape(shape).copy()
 
@@ -72,14 +79,13 @@ def load_tensor_file(path, dtype: str = "f32") -> np.ndarray:
         return read_tensor(fh, dtype)
 
 
-def tensor_as_fixed(array: np.ndarray, dtype: str, cfg: FixedPointConfig) -> FixedTensor:
+def tensor_as_fixed(array: np.ndarray, dtype: str) -> FixedTensor:
     if dtype == "f32":
-        return FixedTensor(encode_fixed(array.astype(np.float64), cfg), cfg)
-    return FixedTensor(array.astype(np.uint64), cfg)
+        return FixedTensor(encode_fixed(array.astype(np.float64)))
+    return FixedTensor(array.astype(np.uint64))
 
 
-def save_weights_dir(path, tensors: dict, meta: dict, cfg: FixedPointConfig,
-                     dtype: str = "f32"):
+def save_weights_dir(path, tensors: dict, meta: dict, dtype: str = "f32"):
     """Write manifest.json + weights.bin for a named tensor collection."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -91,7 +97,7 @@ def save_weights_dir(path, tensors: dict, meta: dict, cfg: FixedPointConfig,
         write_tensor(blob, array, dtype)
     manifest = {
         "format_version": VERSION,
-        "frac_bits": cfg.frac_bits,
+        "frac_bits": DEFAULT_CONFIG.frac_bits,
         "tensors": entries,
         **meta,
     }
@@ -99,20 +105,37 @@ def save_weights_dir(path, tensors: dict, meta: dict, cfg: FixedPointConfig,
     (path / "weights.bin").write_bytes(blob.getvalue())
 
 
-def load_weights_dir(path, cfg: FixedPointConfig = None):
-    """Read a weights directory; returns (tensors by name, manifest)."""
+def load_weights_dir(path):
+    """Read a weights directory; returns (tensors by name, manifest).
+
+    A manifest that is not JSON, lacks its tensor list or an entry's name,
+    shape or dtype, or declares a ``frac_bits`` other than the engine's
+    raises TensorFormatError, as does a malformed payload.
+    """
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if cfg is None:
-        cfg = FixedPointConfig(frac_bits=manifest["frac_bits"])
+    try:
+        manifest = json.loads((path / "manifest.json").read_bytes())
+    except ValueError as e:
+        raise TensorFormatError(f"manifest.json is not valid JSON: {e}") from None
+    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list) and isinstance(e.get("dtype"), str)
+            for e in entries):
+        raise TensorFormatError(
+            "manifest.json needs a tensors list of entries with name, shape and dtype")
+    if manifest.get("frac_bits") != DEFAULT_CONFIG.frac_bits:
+        raise TensorFormatError(
+            f"manifest declares frac_bits {manifest.get('frac_bits')!r}, "
+            f"the engine's format has {DEFAULT_CONFIG.frac_bits}")
     tensors = {}
     with open(path / "weights.bin", "rb") as fh:
-        for entry in manifest["tensors"]:
+        for entry in entries:
             array = read_tensor(fh, entry["dtype"])
-            if list(array.shape) != list(entry["shape"]):
+            if list(array.shape) != entry["shape"]:
                 raise TensorFormatError(
                     f"shape mismatch for {entry['name']}: manifest says "
                     f"{entry['shape']}, payload has {list(array.shape)}"
                 )
-            tensors[entry["name"]] = tensor_as_fixed(array, entry["dtype"], cfg)
+            tensors[entry["name"]] = tensor_as_fixed(array, entry["dtype"])
     return tensors, manifest

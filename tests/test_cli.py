@@ -7,7 +7,6 @@ from click.testing import CliRunner
 from mpcadapter import tensorio
 from mpcadapter.cli import RunConfig, ConfigError, main
 from mpcadapter.nn import AdapterConfig, derived_rng, random_weights
-from mpcadapter.ring import DEFAULT_CONFIG
 
 
 @pytest.fixture
@@ -18,8 +17,7 @@ def runner():
 def _write_demo_files(tmp_path, config=None, n_inputs=2, seed=0):
     config = config or AdapterConfig()
     weights = random_weights(config, derived_rng(seed, "weights"))
-    tensorio.save_weights_dir(tmp_path / "weights", weights, {},
-                              DEFAULT_CONFIG, dtype="u64ring")
+    tensorio.save_weights_dir(tmp_path / "weights", weights, {}, dtype="u64ring")
     rng = derived_rng(seed, "inputs")
     feats = rng.standard_normal(
         (n_inputs, config.n_tokens, config.d_model)).astype(np.float32)
@@ -51,6 +49,8 @@ def test_run_config_unknown_keys_rejected():
         RunConfig.parse({"adapterr": {}})
     with pytest.raises(ConfigError, match="unknown keys in adapter"):
         RunConfig.parse({"adapter": {"heads": 2}})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        RunConfig.parse({"fixed_point": {"frac_bits": 16}})  # the format is fixed
 
 
 def test_run_config_invalid_adapter():
@@ -77,10 +77,14 @@ def test_estimate_json(runner):
     assert doc["rounds"] == 29
     assert doc["wan_total_time_s"] == pytest.approx(
         doc["wan_comm_time_s"] + doc["wan_comp_time_s"])
+    assert doc["baseline"]["rounds"] == 77
+    assert doc["round_speedup"] == pytest.approx(77 / 29)
+    assert doc["traffic_ratio"] == pytest.approx(1.55 / doc["comm_gb"])
+    assert doc["latency_speedup"] == pytest.approx(45.38 / doc["wan_total_time_s"])
 
 
-def test_report_prints_round_speedup(runner):
-    res = runner.invoke(main, ["report"])
+def test_estimate_prints_round_speedup(runner):
+    res = runner.invoke(main, ["estimate"])
     assert res.exit_code == 0
     assert "2.66x" in res.output
     assert "77" in res.output
@@ -142,6 +146,50 @@ def test_infer_rejects_weights_of_another_config(runner, tmp_path, other):
     res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
     assert res.exit_code == 3, res.output
     assert "io error: weights do not match the adapter config" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def _drop(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _entry(m: dict, entry: dict) -> dict:
+    return m | {"tensors": [entry] + m["tensors"][1:]}
+
+
+# Malformed weights directories: (file to overwrite, its new content as a
+# function of the valid manifest; a dict is written as JSON).
+MALFORMED_WEIGHTS = {
+    "not-json": ("manifest.json", lambda m: "{not json"),
+    "no-tensors": ("manifest.json", lambda m: _drop(m, "tensors")),
+    "tensors-not-list": ("manifest.json", lambda m: m | {"tensors": {"down": [8, 8]}}),
+    "no-name": ("manifest.json", lambda m: _entry(m, _drop(m["tensors"][0], "name"))),
+    "no-shape": ("manifest.json", lambda m: _entry(m, _drop(m["tensors"][0], "shape"))),
+    "no-dtype": ("manifest.json", lambda m: _entry(m, _drop(m["tensors"][0], "dtype"))),
+    "shape-not-list": ("manifest.json",
+                       lambda m: _entry(m, m["tensors"][0] | {"shape": 8})),
+    "no-frac-bits": ("manifest.json", lambda m: _drop(m, "frac_bits")),
+    "frac-bits-12": ("manifest.json", lambda m: m | {"frac_bits": 12}),
+    "cut-header": ("weights.bin", lambda m: b"CPFT\x01"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_WEIGHTS)
+def test_infer_rejects_malformed_weights_dir(runner, tmp_path, case):
+    """A weights directory comes from outside the program: a malformed
+    manifest or tensor record is an I/O error (exit 3) before any round."""
+    cfg_path = _write_demo_files(tmp_path)
+    name, content = MALFORMED_WEIGHTS[case]
+    manifest = json.loads((tmp_path / "weights" / "manifest.json").read_text())
+    data = content(manifest)
+    path = tmp_path / "weights" / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
+    assert res.exit_code == 3, res.output
+    assert "io error:" in res.output
     assert not (tmp_path / "out").exists()
 
 

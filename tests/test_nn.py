@@ -402,10 +402,11 @@ def test_inference_deterministic():
     assert m1[0].bytes_sent == m2[0].bytes_sent
 
 
-# sha256 of the private logits and both parties' per-label meters of the run
-# below.  A reordered random draw or a changed word on the wire moves it, so
-# it changes only with a deliberate change to the protocol.
-GOLDEN_TRANSCRIPT = "5cafbb0aa44baf1cdd16974352d11fcad92715b1af4dd6846787eeef8c1f128d"
+# sha256 of the private logits, both parties' per-label meters and the
+# fixed-point twin's logit words of the run below.  A reordered random draw,
+# a changed word on the wire or a changed twin word moves it, so it changes
+# only with a deliberate change to the protocol or the fixed-point format.
+GOLDEN_TRANSCRIPT = "fff064f4731684466757d5c45d51bb07e89f0038c5ff39cf76330e9248daffa2"
 
 
 def test_inference_golden_transcript():
@@ -420,6 +421,8 @@ def test_inference_golden_transcript():
         digest.update(np.asarray(logits, dtype=np.float64).tobytes())
     for m in meters:
         digest.update(repr(sorted((k, tuple(v)) for k, v in m.breakdown.items())).encode())
+    for f in feats:
+        digest.update(pipeline_forward_plain(f, weights, config).data.tobytes())
     assert digest.hexdigest() == GOLDEN_TRANSCRIPT
 
 

@@ -14,13 +14,8 @@ ULP = 2.0 ** -F
 def test_config_defaults():
     assert DEFAULT_CONFIG.frac_bits == 16
     assert DEFAULT_CONFIG.scale == 65536
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FixedPointConfig(frac_bits=0)
-    with pytest.raises(ValueError):
-        FixedPointConfig(frac_bits=33)
+    with pytest.raises(TypeError):  # one format: nothing to set
+        FixedPointConfig(frac_bits=12)
 
 
 def test_encode_examples():
@@ -78,16 +73,8 @@ def test_tensor_add_sub(rng):
     assert np.allclose((ta - tb).to_real(), a - b, atol=ULP)
 
 
-def test_config_mismatch_rejected():
-    a = FixedTensor.from_real([1.0], FixedPointConfig(frac_bits=16))
-    b = FixedTensor.from_real([1.0], FixedPointConfig(frac_bits=12))
-    with pytest.raises(ValueError):
-        a + b
-
-
 def test_truncate_signed():
-    cfg = DEFAULT_CONFIG
-    raw = encode_fixed(3.0) * np.uint64(cfg.scale)  # 3.0 at scale 2^2f
-    assert decode_fixed(truncate(raw, cfg)) == 3.0
-    raw_neg = encode_fixed(-3.0) * np.uint64(cfg.scale)
-    assert abs(decode_fixed(truncate(raw_neg, cfg)) + 3.0) <= ULP
+    raw = encode_fixed(3.0) * np.uint64(DEFAULT_CONFIG.scale)  # 3.0 at scale 2^2f
+    assert decode_fixed(truncate(raw)) == 3.0
+    raw_neg = encode_fixed(-3.0) * np.uint64(DEFAULT_CONFIG.scale)
+    assert abs(decode_fixed(truncate(raw_neg)) + 3.0) <= ULP

@@ -5,8 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpcadapter.runtime import (ABORT_TAG, ENVS, FRAME_MAGIC, LAN, WAN, Channel,
+from mpcadapter.runtime import (ABORT_REASON_BYTES, ABORT_TAG, ENVS, FRAME_MAGIC, LAN, WAN, Channel,
                                 ChannelError, CommMeter, FrameError,
                                 MeterSummary, NetworkEnv,
                                 ProtocolMismatchError, TcpEnd,
@@ -253,6 +255,35 @@ def test_tcp_abort_reason_within_cap():
         ch = Channel(0, TcpEnd(b), timeout=5.0)
         with pytest.raises(ChannelError, match="peer aborted"):
             ch.exchange("t", [np.zeros(2, np.uint64)])
+    finally:
+        a.close()
+        b.close()
+
+
+_HEADERS = st.builds(
+    lambda tag, length, rest: FRAME_MAGIC + struct.pack("<IQ", tag, length) + rest,
+    st.sampled_from([0, 1, ABORT_TAG]) | st.integers(0, (1 << 32) - 1),
+    st.integers(0, 96) | st.integers(0, (1 << 64) - 1),
+    st.binary(max_size=96))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=96) | _HEADERS, st.integers(0, 64) | st.integers(0, 1 << 40))
+def test_tcp_recv_frame_any_bytes(stream, max_bytes):
+    """Whatever the peer wrote before closing, recv_frame returns a frame
+    within its bound or raises a ChannelError, and does so promptly."""
+    a, b = socket.socketpair()
+    try:
+        a.sendall(stream)
+        a.close()
+        t0 = time.monotonic()
+        try:
+            tag, payload = TcpEnd(b).recv_frame(0.2, max_bytes)
+        except ChannelError:
+            pass
+        else:
+            assert len(payload) <= (ABORT_REASON_BYTES if tag == ABORT_TAG else max_bytes)
+        assert time.monotonic() - t0 < 1.0
     finally:
         a.close()
         b.close()

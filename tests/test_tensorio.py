@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpcadapter import tensorio
-from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor
+from mpcadapter.ring import FixedTensor
 
 
 def test_tensor_roundtrip_f32(rng, tmp_path):
@@ -39,6 +39,14 @@ def test_bad_magic_rejected():
         tensorio.read_tensor(buf, "f32")
 
 
+@pytest.mark.parametrize("cut", [5, 8, 20], ids=["in-version-rank", "no-dims", "in-dims"])
+def test_truncated_header_rejected(cut):
+    buf = io.BytesIO()
+    tensorio.write_tensor(buf, np.zeros((2, 3), np.float32), "f32")
+    with pytest.raises(tensorio.TensorFormatError, match="truncated tensor header"):
+        tensorio.read_tensor(io.BytesIO(buf.getvalue()[:cut]), "f32")
+
+
 def test_truncated_payload_rejected():
     buf = io.BytesIO()
     tensorio.write_tensor(buf, np.zeros(8, np.float32), "f32")
@@ -58,7 +66,7 @@ def test_weights_dir_roundtrip(rng, tmp_path):
         "b1": FixedTensor.from_real(rng.standard_normal(4)),
     }
     tensorio.save_weights_dir(tmp_path / "w", tensors, {"note": "test"},
-                              DEFAULT_CONFIG, dtype="u64ring")
+                              dtype="u64ring")
     got, manifest = tensorio.load_weights_dir(tmp_path / "w")
     assert manifest["note"] == "test"
     assert manifest["frac_bits"] == 16
@@ -68,7 +76,6 @@ def test_weights_dir_roundtrip(rng, tmp_path):
 
 def test_weights_dir_f32_lossy_but_close(rng, tmp_path):
     tensors = {"w": FixedTensor.from_real(rng.standard_normal((8, 8)))}
-    tensorio.save_weights_dir(tmp_path / "w", tensors, {}, DEFAULT_CONFIG,
-                              dtype="f32")
+    tensorio.save_weights_dir(tmp_path / "w", tensors, {}, dtype="f32")
     got, _ = tensorio.load_weights_dir(tmp_path / "w")
     assert np.max(np.abs(got["w"].to_real() - tensors["w"].to_real())) < 1e-4
