@@ -9,17 +9,25 @@ shows in a traced benchmark run (``python3 inferbench/run.py --trace 1``,
 import numpy as np
 
 
-def matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ring matrix product mod 2^64.
+def matmul_shape(shape_a, shape_b) -> tuple:
+    """Result shape of ``matmul_u64`` on operands of these shapes.
 
     Accepts two 2-D operands or two stacked 3-D batches whose leading batch
-    dims match.  Inputs must already be uint64.  Mixed ranks are refused
+    dims match, with equal inner dimensions.  Mixed ranks are refused
     rather than broadcast, so a triple's shape always matches its operands.
     """
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ValueError(f"unsupported ranks: {a.ndim} and {b.ndim}")
-    if a.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ValueError(f"batch mismatch: {a.shape} vs {b.shape}")
+    if len(shape_a) != len(shape_b) or len(shape_a) not in (2, 3):
+        raise ValueError(f"unsupported ranks: {len(shape_a)} and {len(shape_b)}")
+    if shape_a[:-2] != shape_b[:-2]:
+        raise ValueError(f"batch mismatch: {shape_a} vs {shape_b}")
+    if shape_a[-1] != shape_b[-2]:
+        raise ValueError(f"inner dimension mismatch: {shape_a} vs {shape_b}")
+    return shape_a[:-1] + shape_b[-1:]
+
+
+def matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ring matrix product mod 2^64 of uint64 operands (see ``matmul_shape``)."""
+    matmul_shape(a.shape, b.shape)
     # np.matmul on uint64 wraps mod 2^64 (C integer semantics, no BLAS).
     with np.errstate(over="ignore"):
         return np.matmul(a, b)

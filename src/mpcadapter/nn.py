@@ -230,9 +230,7 @@ def _row_mean(ctx, x):
 
 def linear_private(ctx, x, w):
     """x @ w on either backend: one round, output truncated back to scale
-    2^f."""
-    if x.shape[-1] != w.shape[-2]:
-        raise ValueError(f"inner dimensions disagree: {x.shape} vs {w.shape}")
+    2^f.  Shapes follow ``kernels.matmul_shape``."""
     return ctx.truncate(ctx.matmul(x, w, "linear"))
 
 

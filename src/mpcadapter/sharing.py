@@ -2,10 +2,12 @@
 
 Arithmetic shares are additive mod 2^64; binary shares are bitwise XOR
 shares packed into u64 words.  Multiplication uses precomputed Beaver
-triples from a trusted dealer.  The dealer is deterministic in its seed,
-so both parties can hold replica dealers and draw identical triple
-streams without communicating (the offline phase is excluded from
-metering).
+triples.  The dealer is not yet a third party: each party builds its own
+view of it from a seed both parties know, so either party can regenerate
+every triple and unmask the peer's openings.  The engine is therefore not
+yet private against its peer.  The views split the dealer's work the way
+a trusted third party would: party 0's view only expands randomness, and
+party 1's view draws the same stream and computes the corrections.
 
 The Beaver opening, the product of two privately known inputs and the
 dealer's split are each written once, over both share rings: a ring is
@@ -21,6 +23,7 @@ Round contracts (per call, enforced by tests):
   truncate_share            0   (local probabilistic truncation)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,39 +109,57 @@ BINARY = (np.bitwise_xor, np.bitwise_xor)
 
 
 class TripleDealer:
-    """Trusted dealer with full knowledge of the triples it issues.
+    """One party's view of the replica dealer, deterministic in its seed.
 
-    Deterministic: the same seed yields the identical triple stream.
-    ``party_dealer`` wraps it in the per-party view handed to protocol code.
+    Both views walk one PCG64 stream: a, b, then party 0's words a0, b0, c0
+    for a triple (party 1 gets a - a0, b - b0, a*b - c0), or a, b, c0 for
+    an input pair (party 0 gets a, c0; party 1 gets b, a*b - c0), with XOR
+    and AND in the binary ring.  Party 0's view skips the words it does not
+    need and never computes the product.  Each method checks shapes before
+    drawing and returns a pair indexed by party id, ``None`` in the other
+    slot; ``party_dealer`` wraps the view for protocol code.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, party_id: int):
+        self.party_id = party_id
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
-    def _triple(self, shape_a, shape_b, product, ring):
-        mask = ring[0]
+    def _skip(self, *shapes):
+        # A full-range uint64 draw takes one 64-bit output per word.
+        self._rng.bit_generator.advance(sum(math.prod(s) for s in shapes))
+
+    def _triple(self, shape_a, shape_b, shape_c, product, ring):
         rng = self._rng
+        if self.party_id == 0:
+            self._skip(shape_a, shape_b)
+            a0, b0, c0 = (_rand_words(rng, s) for s in (shape_a, shape_b, shape_c))
+            return TripleShare(a0, b0, c0), None
+        mask = ring[0]
         a, b = _rand_words(rng, shape_a), _rand_words(rng, shape_b)
         c = product(a, b)
-        a0, b0, c0 = (_rand_words(rng, v.shape) for v in (a, b, c))
-        return (TripleShare(a0, b0, c0),
-                TripleShare(mask(a, a0), mask(b, b0), mask(c, c0)))
+        a0, b0, c0 = (_rand_words(rng, s) for s in (shape_a, shape_b, shape_c))
+        return None, TripleShare(mask(a, a0), mask(b, b0), mask(c, c0))
 
     def _input_pair(self, shape, product, ring):
         rng = self._rng
-        a, b = _rand_words(rng, shape), _rand_words(rng, shape)
-        c0 = _rand_words(rng, shape)
-        return (InputPairShare(a, c0), InputPairShare(b, ring[0](product(a, b), c0)))
+        a = _rand_words(rng, shape)
+        if self.party_id == 0:
+            self._skip(shape)
+            return InputPairShare(a, _rand_words(rng, shape)), None
+        b, c0 = _rand_words(rng, shape), _rand_words(rng, shape)
+        return None, InputPairShare(b, ring[0](product(a, b), c0))
 
     def arith_triple(self, shape_x, shape_y=None):
         shape_y = shape_x if shape_y is None else shape_y
-        return self._triple(shape_x, shape_y, np.multiply, ARITH)
+        return self._triple(shape_x, shape_y, np.broadcast_shapes(shape_x, shape_y),
+                            np.multiply, ARITH)
 
     def matmul_triple(self, shape_a, shape_b):
-        return self._triple(shape_a, shape_b, kernels.matmul_u64, ARITH)
+        return self._triple(shape_a, shape_b, kernels.matmul_shape(shape_a, shape_b),
+                            kernels.matmul_u64, ARITH)
 
     def bin_triple(self, shape):
-        return self._triple(shape, shape, np.bitwise_and, BINARY)
+        return self._triple(shape, shape, shape, np.bitwise_and, BINARY)
 
     def arith_input_pair(self, shape):
         return self._input_pair(shape, np.multiply, ARITH)
@@ -148,11 +169,11 @@ class TripleDealer:
 
 
 class PartyDealer:
-    """The view of a dealer held by one party."""
+    """A party's dealer view as protocol code uses it: its own share only."""
 
-    def __init__(self, dealer: TripleDealer, party_id: int):
+    def __init__(self, dealer: TripleDealer):
         self._dealer = dealer
-        self.party_id = party_id
+        self.party_id = dealer.party_id
 
     def arith_triple(self, shape_x, shape_y=None):
         return self._dealer.arith_triple(shape_x, shape_y)[self.party_id]
@@ -171,8 +192,8 @@ class PartyDealer:
 
 
 def party_dealer(seed: int, party_id: int) -> PartyDealer:
-    """Replica dealer: both parties construct one from the shared seed."""
-    return PartyDealer(TripleDealer(seed), party_id)
+    """Replica dealer: both parties construct their view from the shared seed."""
+    return PartyDealer(TripleDealer(seed, party_id))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +235,9 @@ def _beaver_many(pairs, triples, channel: Channel, label, product, ring):
     """Beaver products of raw share words, one round for the whole batch.
 
     Each party opens e = x - a and d = y - b (XOR in the binary ring);
-    then z = c + e*b + a*d, plus e*d on party 0.
+    then z = c + e*b + a*d, plus e*d on party 0.  Party 0 folds its two
+    e-products into e*(b + d), which is exact: the product distributes over
+    addition mod 2^64, and AND over XOR.
     """
     mask, add = ring
     msgs = []
@@ -229,10 +252,8 @@ def _beaver_many(pairs, triples, channel: Channel, label, product, ring):
     for i, t in enumerate(triples):
         e = add(msgs[2 * i], opened[2 * i])
         d = add(msgs[2 * i + 1], opened[2 * i + 1])
-        z = add(add(t.c, product(e, t.b)), product(t.a, d))
-        if channel.party_id == 0:
-            z = add(z, product(e, d))
-        out.append(z)
+        b = add(t.b, d) if channel.party_id == 0 else t.b
+        out.append(add(add(t.c, product(e, b)), product(t.a, d)))
     return out
 
 

@@ -1,8 +1,12 @@
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 from protocol_helpers import run_protocol
 
-from mpcadapter.nn import PlainContext, linear_private
+from mpcadapter import kernels
+from mpcadapter.nn import PartyContext, PlainContext, linear_private
 from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed
 from mpcadapter.sharing import (ArithShareTensor, AuditError, BinShareTensor,
                                 TripleDealer, TripleShare, a2b, and_beaver_many,
@@ -62,39 +66,111 @@ def test_bin_share_roundtrip(rng):
 # ---------------------------------------------------------------------------
 # dealer
 
+def _views(seed):
+    """Both parties' one-party dealer views for ``seed``."""
+    return TripleDealer(seed, 0), TripleDealer(seed, 1)
+
+
+def _shares(views, method, *args):
+    """Each view's own share of the same dealer call."""
+    return tuple(getattr(v, method)(*args)[pid] for pid, v in enumerate(views))
+
+
 def test_beaver_identity_1000():
-    dealer = TripleDealer(0)
-    t0, t1 = dealer.arith_triple((1000,))
+    t0, t1 = _shares(_views(0), "arith_triple", (1000,))
     assert np.array_equal((t0.a + t1.a) * (t0.b + t1.b), t0.c + t1.c)
 
 
 def test_beaver_binary_flavor():
-    dealer = TripleDealer(0)
-    t0, t1 = dealer.bin_triple((1000,))
+    t0, t1 = _shares(_views(0), "bin_triple", (1000,))
     assert np.array_equal((t0.a ^ t1.a) & (t0.b ^ t1.b), t0.c ^ t1.c)
 
 
 def test_matmul_triple_identity():
-    dealer = TripleDealer(3)
-    t0, t1 = dealer.matmul_triple((4, 5), (5, 3))
+    t0, t1 = _shares(_views(3), "matmul_triple", (4, 5), (5, 3))
     a, b, c = t0.a + t1.a, t0.b + t1.b, t0.c + t1.c
-    from mpcadapter import kernels
     assert np.array_equal(kernels.matmul_u64(a, b), c)
 
 
 def test_dealer_deterministic():
-    t0a, _ = TripleDealer(7).arith_triple((10,))
-    t0b, _ = TripleDealer(7).arith_triple((10,))
-    assert np.array_equal(t0a.a, t0b.a)
-    assert np.array_equal(t0a.c, t0b.c)
+    for pid in (0, 1):
+        ta = TripleDealer(7, pid).arith_triple((10,))[pid]
+        tb = TripleDealer(7, pid).arith_triple((10,))[pid]
+        assert np.array_equal(ta.a, tb.a)
+        assert np.array_equal(ta.c, tb.c)
 
 
 def test_input_pair_identities():
-    dealer = TripleDealer(1)
-    p0, p1 = dealer.arith_input_pair((100,))
+    views = _views(1)
+    p0, p1 = _shares(views, "arith_input_pair", (100,))
     assert np.array_equal(p0.known * p1.known, p0.c + p1.c)
-    q0, q1 = dealer.bin_input_pair((100,))
+    q0, q1 = _shares(views, "bin_input_pair", (100,))
     assert np.array_equal(q0.known & q1.known, q0.c ^ q1.c)
+
+
+def test_dealer_view_serves_one_party():
+    for pid in (0, 1):
+        view = TripleDealer(2, pid)
+        for out in (view.arith_triple((3,)), view.matmul_triple((2, 3), (3, 2)),
+                    view.bin_triple((3,)), view.arith_input_pair((3,)),
+                    view.bin_input_pair((3,))):
+            assert out[1 - pid] is None and out[pid] is not None
+
+
+# An interleaved sequence of all five dealer calls: 2-D and 3-D matmul,
+# broadcast elementwise, and scalar shapes.
+STREAM_CALLS = [
+    ("matmul_triple", ((4, 5), (5, 3))),
+    ("arith_triple", ((6, 4), (4,))),
+    ("bin_input_pair", ((7,),)),
+    ("matmul_triple", ((2, 4, 5), (2, 5, 3))),
+    ("arith_triple", ((),)),
+    ("bin_triple", ((3, 2),)),
+    ("arith_input_pair", ((5,),)),
+    ("bin_triple", ((),)),
+    ("arith_input_pair", ((),)),
+    ("arith_triple", ((3,),)),
+]
+
+# sha256 of each party's words for STREAM_CALLS at seed 2024, taken from the
+# dealer that drew both parties' shares from one generator.  Party 0's view
+# skips words with PCG64.advance, so this pins advance to draw-and-discard.
+STREAM_SHA256 = {
+    0: "b7ccb19f8cffb931a655ab6da36e7b3df631a10461eda9ecd1c12c586532920e",
+    1: "00559efcae9d2e3c257df607b8a43f56e8a53e15ca3188da1ab829c55ee694bb",
+}
+
+
+@pytest.mark.parametrize("pid", [0, 1])
+def test_dealer_stream_golden(pid):
+    view = TripleDealer(2024, pid)
+    h = hashlib.sha256()
+    for method, args in STREAM_CALLS:
+        share = getattr(view, method)(*args)[pid]
+        for f in ("a", "b", "c", "known"):
+            if hasattr(share, f):
+                v = getattr(share, f)
+                h.update(repr((f, v.shape)).encode())
+                h.update(np.ascontiguousarray(v, dtype=np.uint64).tobytes())
+    assert h.hexdigest() == STREAM_SHA256[pid]
+
+
+@pytest.mark.parametrize("pid", [0, 1])
+@pytest.mark.parametrize("method,args", [
+    ("matmul_triple", ((4, 5), (6, 3))),
+    ("matmul_triple", ((2, 4, 5), (5, 3))),
+    ("matmul_triple", ((2, 4, 5), (3, 5, 3))),
+    ("matmul_triple", ((5,), (5, 3))),
+    ("arith_triple", ((4, 5), (4,))),
+], ids=["inner", "ranks", "batch", "rank-1", "broadcast"])
+def test_dealer_rejects_bad_shapes_before_drawing(pid, method, args):
+    view = TripleDealer(9, pid)
+    with pytest.raises(ValueError):
+        getattr(view, method)(*args)
+    # Nothing was drawn: the next triple is a fresh view's first.
+    got = view.arith_triple((3,))[pid]
+    want = TripleDealer(9, pid).arith_triple((3,))[pid]
+    assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in "abc")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +302,31 @@ def test_matmul_beaver_vs_plain(rng):
     out0, out1, _ = run_protocol(proto)
     want = linear_private(PlainContext(), a, b).to_real()
     assert np.max(np.abs(decode_fixed(out0 + out1) - want)) <= 4 * ULP
+
+
+def test_linear_ring_products_per_party(rng, monkeypatch):
+    """One private linear layer: party 0 computes e@(b0 + d) and a0@d;
+    party 1 the dealer's a@b, e@b1 and a1@d."""
+    x = share_arith(FixedTensor.from_real(rng.standard_normal((3, 4))), rng)
+    w = share_arith(FixedTensor.from_real(rng.standard_normal((4, 2))), rng)
+    want = linear_private(PlainContext(), FixedTensor(x[0].data + x[1].data),
+                          FixedTensor(w[0].data + w[1].data)).data
+    calls, party = {0: 0, 1: 0}, threading.local()
+    real = kernels.matmul_u64
+
+    def counted(a, b):
+        calls[party.pid] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(kernels, "matmul_u64", counted)
+
+    def proto(pid, ch, dealer):
+        party.pid = pid
+        return linear_private(PartyContext(ch, dealer), x[pid], w[pid]).data
+
+    out0, out1, _ = run_protocol(proto)
+    assert np.max(np.abs((out0 + out1 - want).view(np.int64))) <= 2
+    assert calls == {0: 2, 1: 3}
 
 
 @pytest.mark.parametrize("kind", ["mul", "matmul", "and", "count"])
