@@ -388,6 +388,8 @@ class ConfigMismatchError(RuntimeError):
 
 _SEED_TAGS = {"dealer": 0, "features": 1, "weights": 2, "inputs": 3}
 
+MAX_INPUT_FRAME_BYTES = 1 << 32  # party 0's feature-share frame, checked before allocating
+
 
 def derived_rng(seed: int, tag: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(_SEED_TAGS[tag],))
@@ -408,12 +410,16 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
         raise ConfigMismatchError(
             f"peer runs a different configuration: {peer_digest.tolist()} "
             f"vs {digest.tolist()}")
+    n_inputs = int(peer_digest[-1])
+    if 8 * n_inputs * config.n_tokens * config.d_model > MAX_INPUT_FRAME_BYTES:
+        raise ConfigMismatchError(f"peer declares {n_inputs} inputs, more than a "
+                                  f"{MAX_INPUT_FRAME_BYTES}-byte setup frame holds")
 
     names = weight_names(config)
     own, tag, peer_shapes = (
         (features, "features", [weight_shape(config, n) for n in names]) if pid == 0 else
         ([weights[n] for n in names], "weights",
-         [(config.n_tokens, config.d_model)] * int(peer_digest[-1])))
+         [(config.n_tokens, config.d_model)] * n_inputs))
     rng = derived_rng(seed, tag)
     shares = [share_arith(t, rng) for t in own]
     got = channel.exchange("setup", [s[1 - pid].data for s in shares], peer_shapes)

@@ -256,13 +256,12 @@ def tcp_channel(party_id: int, host: str, port: int,
                 timeout: float = DEFAULT_TIMEOUT) -> Channel:
     """Party 0 listens, party 1 connects (retrying until party 0 listens)."""
     if party_id == 0:
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, port))
-        srv.listen(1)
-        srv.settimeout(timeout)
-        sock, _ = srv.accept()
-        srv.close()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            srv.bind((host, port))
+            srv.listen(1)
+            srv.settimeout(timeout)
+            sock, _ = srv.accept()
     else:
         sock = _connect_retrying(host, port, timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

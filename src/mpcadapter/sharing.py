@@ -1,7 +1,7 @@
 """Two-party secret sharing and the protocol suite on top of it.
 
-Arithmetic shares are additive mod 2^64; binary shares are bitwise XOR
-shares packed into u64 words.  Multiplication uses precomputed Beaver
+Arithmetic shares are additive mod 2^64; binary shares are plain u64
+word arrays, each bit XOR-shared.  Multiplication uses precomputed Beaver
 triples.  The dealer is not yet a third party: each party builds its own
 view of it from a seed both parties know, so either party can regenerate
 every triple and unmask the peer's openings.  The engine is therefore not
@@ -60,23 +60,6 @@ class ArithShareTensor:
     def __sub__(self, other):
         self._check(other)
         return ArithShareTensor(self.party_id, self.data - other.data)
-
-
-
-@dataclass
-class BinShareTensor:
-    party_id: int
-    data: np.ndarray  # u64 words, each bit XOR-shared
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint64)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def shift_right_logical(self, bits: int):
-        return BinShareTensor(self.party_id, self.data >> np.uint64(bits))
 
 
 @dataclass
@@ -211,12 +194,9 @@ def reconstruct_arith(s0: ArithShareTensor, s1: ArithShareTensor) -> FixedTensor
 
 
 def share_bin(x: np.ndarray, rng) -> tuple:
+    """XOR-share u64 words: party 0's words, then party 1's."""
     s0 = _rand_words(rng, np.shape(x))
-    return (BinShareTensor(0, s0), BinShareTensor(1, np.asarray(x, np.uint64) ^ s0))
-
-
-def reconstruct_bin(s0: BinShareTensor, s1: BinShareTensor) -> np.ndarray:
-    return s0.data ^ s1.data
+    return s0, np.asarray(x, np.uint64) ^ s0
 
 
 def open_values(share: ArithShareTensor, channel: Channel,
@@ -321,8 +301,8 @@ def and_beaver_many(pairs, triples, channel: Channel, label: str = "beaver-open"
 # ---------------------------------------------------------------------------
 # conversions
 
-def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> BinShareTensor:
-    """Arithmetic -> binary conversion, 7 rounds.
+def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> np.ndarray:
+    """Arithmetic -> binary conversion, 7 rounds; returns this party's XOR words.
 
     Each party XOR-shares its own arithmetic share; because that share is
     known to its owner in the clear, the distribution round doubles as the
@@ -342,11 +322,10 @@ def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> BinShareT
         return and_beaver_many(op_pairs, triples, channel, label="a2b-adder")
 
     carries = kernels.kogge_stone_carries(p, g, and_fn)
-    bits = p ^ (carries << np.uint64(1))
-    return BinShareTensor(channel.party_id, bits)
+    return p ^ (carries << np.uint64(1))
 
 
-def bit_to_arith(b: BinShareTensor, pair: InputPairShare,
+def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
                  channel: Channel) -> ArithShareTensor:
     """Single-bit XOR shares -> additive shares of the same bit, 1 round.
 
@@ -354,31 +333,24 @@ def bit_to_arith(b: BinShareTensor, pair: InputPairShare,
     cross product costs one dealer-assisted masked opening.  Result is at
     integer scale.
     """
-    own = b.data
-    if np.any(own > 1):
+    if np.any(bits > 1):
         raise ValueError("bit_to_arith expects 0/1-valued shares")
-    prod, _ = _known_product(own, pair, channel, "bit-open", np.multiply, ARITH)
-    data = own - np.uint64(2) * prod
-    return ArithShareTensor(channel.party_id, data)
+    prod, _ = _known_product(bits, pair, channel, "bit-open", np.multiply, ARITH)
+    return ArithShareTensor(channel.party_id, bits - np.uint64(2) * prod)
 
 
-def b2a_full(x: BinShareTensor, dealer: PartyDealer,
+def b2a_full(words: np.ndarray, dealer: PartyDealer,
              channel: Channel) -> ArithShareTensor:
     """Binary -> arithmetic over all 64 bits, batched into one round."""
-    shape = x.shape
-    planes = np.stack([(x.data >> np.uint64(j)) & np.uint64(1)
-                       for j in range(RING_BITS)])
-    pair = dealer.arith_input_pair(planes.shape)
-    bit_shares = bit_to_arith(BinShareTensor(x.party_id, planes), pair, channel)
-    weights = (np.uint64(1) << np.arange(RING_BITS, dtype=np.uint64)).reshape(
-        (RING_BITS,) + (1,) * len(shape))
-    data = np.sum(bit_shares.data * weights, axis=0, dtype=np.uint64) if shape \
-        else np.sum(bit_shares.data * weights.ravel(), dtype=np.uint64)
-    return ArithShareTensor(x.party_id, np.asarray(data, np.uint64))
+    shifts = np.arange(RING_BITS, dtype=np.uint64).reshape(
+        (RING_BITS,) + (1,) * np.ndim(words))
+    planes = (words >> shifts) & np.uint64(1)
+    bit_shares = bit_to_arith(planes, dealer.arith_input_pair(planes.shape), channel)
+    return ArithShareTensor(channel.party_id,
+                            np.sum(bit_shares.data << shifts, axis=0, dtype=np.uint64))
 
 
 def ltz(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> ArithShareTensor:
     """Private sign test: 1 iff x < 0, at integer scale.  8 rounds."""
-    bits = a2b(x, dealer, channel)
-    msb = bits.shift_right_logical(RING_BITS - 1)
+    msb = a2b(x, dealer, channel) >> np.uint64(RING_BITS - 1)
     return bit_to_arith(msb, dealer.arith_input_pair(x.shape), channel)

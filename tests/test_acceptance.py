@@ -111,7 +111,7 @@ def test_criterion_3_protocol_exactness(report):
     b0, b1 = share_bin(words_b, rng)
 
     def band(pid, ch, dealer):
-        (z,) = and_beaver_many([((a0, a1)[pid].data, (b0, b1)[pid].data)],
+        (z,) = and_beaver_many([((a0, a1)[pid], (b0, b1)[pid])],
                                [dealer.bin_triple((n,))], ch)
         return z
     c0, c1, _ = run_protocol(band)

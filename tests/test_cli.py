@@ -1,4 +1,6 @@
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from click.testing import CliRunner
 from mpcadapter import tensorio
 from mpcadapter.cli import RunConfig, ConfigError, main
 from mpcadapter.nn import AdapterConfig, derived_rng, random_weights
+from mpcadapter.ring import DEFAULT_CONFIG
+from mpcadapter.runtime import tcp_channel
 
 
 @pytest.fixture
@@ -191,6 +195,31 @@ def test_infer_rejects_malformed_weights_dir(runner, tmp_path, case):
     assert res.exit_code == 3, res.output
     assert "io error:" in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [1 << 62, (1 << 64) - 1])
+def test_infer_role1_rejects_forged_input_count(runner, tmp_path, count):
+    """A party 0 that declares an absurd input count is a protocol error
+    (exit 4) on party 1, raised before anything is allocated for it."""
+    cfg_path = _write_demo_files(tmp_path)
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    digest = AdapterConfig().digest_words(extra=(DEFAULT_CONFIG.frac_bits, count))
+
+    def fake_party0():
+        ch = tcp_channel(0, "127.0.0.1", port, timeout=10)
+        ch.exchange("setup", [digest])
+        ch.end.close()
+
+    t = threading.Thread(target=fake_party0)
+    t.start()
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer", "--role", "1",
+                               "--addr", f"127.0.0.1:{port}"])
+    t.join(timeout=15)
+    assert not t.is_alive()
+    assert res.exit_code == 4, res.output
+    assert f"declares {count} inputs" in res.output
 
 
 def test_bad_config_is_usage_error(runner, tmp_path):

@@ -426,6 +426,23 @@ def test_inference_golden_transcript():
     assert digest.hexdigest() == GOLDEN_TRANSCRIPT
 
 
+PAPER_GOLDEN_TRANSCRIPT = "47fa30ec7dbc670e7770a0339d19b06b55bd2cbc3d9d189f0904c0b3224b7acf"
+
+
+def test_inference_golden_transcript_paper_shape():
+    """Paper-width ring words: one input at (h=8, r=64, s=1, d=768, n=128)."""
+    config = AdapterConfig(h=8, r=64, s=1, d_model=768, n_tokens=128)
+    weights = random_weights(config, derived_rng(7, "weights"))
+    feats = [random_features(config, derived_rng(7, "inputs"))]
+    result, meters = private_inference(config, weights, feats, seed=7)
+    assert result["pipeline_rounds"] == [29]
+    digest = hashlib.sha256(np.asarray(result["logits"][0], dtype=np.float64).tobytes())
+    for m in meters:
+        digest.update(repr(sorted((k, tuple(v)) for k, v in m.breakdown.items())).encode())
+    digest.update(pipeline_forward_plain(feats[0], weights, config).data.tobytes())
+    assert digest.hexdigest() == PAPER_GOLDEN_TRANSCRIPT
+
+
 def test_inference_without_inputs():
     """Setup still runs both rounds when party 1 receives no shapes."""
     config = AdapterConfig(h=2, r=8, s=2)

@@ -1,7 +1,9 @@
+import gc
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -295,3 +297,17 @@ def test_tcp_connection_refused():
     with pytest.raises(ConnectionRefusedError):
         tcp_channel(1, "127.0.0.1", _free_port(), timeout=0.3)
     assert 0.3 <= time.monotonic() - t0 < 1.0
+
+
+def test_tcp_accept_timeout_closes_listener():
+    """Nobody connects: the accept times out and the listening socket is closed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            tcp_channel(0, "127.0.0.1", _free_port(), timeout=0.2)
+        except TimeoutError:
+            pass
+        else:
+            pytest.fail("accept did not time out")
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

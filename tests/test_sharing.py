@@ -8,12 +8,11 @@ from protocol_helpers import run_protocol
 from mpcadapter import kernels
 from mpcadapter.nn import PartyContext, PlainContext, linear_private
 from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed
-from mpcadapter.sharing import (ArithShareTensor, AuditError, BinShareTensor,
-                                TripleDealer, TripleShare, a2b, and_beaver_many,
-                                b2a_full, bit_to_arith, ltz, matmul_beaver_many,
-                                mul_beaver_many, open_values,
-                                reconstruct_arith, reconstruct_bin, share_arith,
-                                share_bin, truncate_share)
+from mpcadapter.sharing import (ArithShareTensor, AuditError, TripleDealer,
+                                TripleShare, a2b, and_beaver_many, b2a_full,
+                                bit_to_arith, ltz, matmul_beaver_many,
+                                mul_beaver_many, open_values, reconstruct_arith,
+                                share_arith, share_bin, truncate_share)
 
 ULP = 2.0 ** -16
 
@@ -60,7 +59,7 @@ def test_share_mismatch_rejected(rng):
 def test_bin_share_roundtrip(rng):
     x = _words(rng, 100)
     s0, s1 = share_bin(x, rng)
-    assert np.array_equal(reconstruct_bin(s0, s1), x)
+    assert np.array_equal(s0 ^ s1, x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +272,29 @@ def test_truncate_error_one_ulp(rng):
     assert np.max(np.abs(got - decode_fixed(encode_fixed(vals)))) <= ULP
 
 
+def _truncation_error_ulps(x: int, u: int) -> int:
+    """Signed ulps by which local truncation of the raw product x, shared as
+    (x + u, -u) mod 2^64, misses floor(x / 2^f)."""
+    f, mod = DEFAULT_CONFIG.frac_bits, 1 << 64
+    t0 = truncate_share(ArithShareTensor(0, [(x + u) % mod]))
+    t1 = truncate_share(ArithShareTensor(1, [-u % mod]))
+    err = (int(reconstruct_arith(t0, t1).data[0]) - (x >> f)) % mod
+    return err - mod if err >= mod // 2 else err
+
+
+@pytest.mark.parametrize("x", [3 << 40, -(3 << 40), 1 << 61, -(1 << 61)])
+def test_truncate_failure_window(x):
+    """Local truncation fails when u = -x1 mod 2^64, party 1's negated share,
+    lies in [2^64 - x, 2^64) for x > 0 or in [0, |x|) for x < 0 (SecureML,
+    S&P 2017): the result is then off by exactly 2^48 ulps.  Just outside
+    either edge of the window (mod 2^64) it is within 1 ulp."""
+    lo, hi = ((1 << 64) - x, (1 << 64) - 1) if x > 0 else (0, -x - 1)
+    for u in (lo, hi):
+        assert _truncation_error_ulps(x, u) == (-1 if x > 0 else 1) << 48
+    for u in ((lo - 1, 0) if x > 0 else (hi + 1, (1 << 64) - 1)):
+        assert abs(_truncation_error_ulps(x, u)) <= 1
+
+
 def test_matmul_beaver_identity(rng):
     eye = FixedTensor.from_real(np.eye(4))
     b = FixedTensor.from_real(rng.standard_normal((4, 4)))
@@ -365,7 +387,7 @@ def test_and_truth_table(rng):
 
             def proto(pid, ch, dealer):
                 t = dealer.bin_triple(())
-                (z,) = and_beaver_many([(xs[pid].data, ys[pid].data)], [t], ch)
+                (z,) = and_beaver_many([(xs[pid], ys[pid])], [t], ch)
                 return z
 
             out0, out1, _ = run_protocol(proto)
@@ -378,7 +400,7 @@ def test_and_random_words(rng):
 
     def proto(pid, ch, dealer):
         t = dealer.bin_triple((1000,))
-        (z,) = and_beaver_many([(xs[pid].data, ys[pid].data)], [t], ch)
+        (z,) = and_beaver_many([(xs[pid], ys[pid])], [t], ch)
         return z
 
     out0, out1, (m0, _) = run_protocol(proto)
@@ -393,7 +415,7 @@ def _run_a2b(vals, rng, seed=0):
     xs = share_arith(FixedTensor(np.asarray(vals, np.uint64)), rng)
 
     def proto(pid, ch, dealer):
-        return a2b(xs[pid], dealer, ch).data
+        return a2b(xs[pid], dealer, ch)
 
     return run_protocol(proto, seed=seed)
 
@@ -417,8 +439,7 @@ def test_bit_to_arith_all_combinations():
         for b1v in (0, 1):
             def proto(pid, ch, dealer):
                 pair = dealer.arith_input_pair(())
-                b = BinShareTensor(pid, np.uint64([b0v, b1v][pid]))
-                return bit_to_arith(b, pair, ch).data
+                return bit_to_arith(np.uint64([b0v, b1v][pid]), pair, ch).data
 
             out0, out1, (m0, _) = run_protocol(proto)
             assert out0 + out1 == (b0v ^ b1v)
@@ -429,7 +450,7 @@ def test_bit_to_arith_rejects_non_bit_share():
     def proto(pid, ch, dealer):
         pair = dealer.arith_input_pair(())
         with pytest.raises(ValueError):
-            bit_to_arith(BinShareTensor(pid, np.uint64(2)), pair, ch)
+            bit_to_arith(np.uint64(2), pair, ch)
         return ch.meter.rounds
 
     out0, out1, _ = run_protocol(proto)
