@@ -192,8 +192,11 @@ def infer(ctx, role, addr):
         else:
             host, port = addr.rsplit(":", 1)
             channel = tcp_channel(int(role), host, int(port))
-            result = inference_party(int(role), config, rc.seed, weights,
-                                     features)(channel)
+            try:
+                result = inference_party(int(role), config, rc.seed, weights,
+                                         features)(channel)
+            finally:
+                channel.end.close()
             meter = channel.meter
     except ConfigMismatchError as e:
         click.echo(f"protocol error: {e}", err=True)

@@ -32,9 +32,8 @@ import numpy as np
 from . import kernels
 from .ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed, truncate
 from .runtime import Channel, run_two_party
-from .sharing import (ArithShareTensor, PartyDealer, ltz, matmul_beaver_many,
-                      mul_beaver_many, party_dealer, share_arith,
-                      truncate_share)
+from .sharing import (PartyDealer, ltz, matmul_beaver_many, mul_beaver_many,
+                      party_dealer, share_arith, truncate_share)
 
 # Inverse-sqrt polynomial coefficients (low -> high degree), minimax in
 # relative error.  The round budget caps the norm at a cubic (3-round
@@ -158,9 +157,11 @@ def weights_to_float(weights: dict) -> dict:
 # The operators and the adapter/pipeline wiring below are written once and
 # run over either backend passed as ``ctx``: ``PartyContext`` (one party's
 # secret shares; every round, triple and byte comes from it) or
-# ``PlainContext`` (plaintext ring words, the fixed-point twin).  A backend
-# supplies wrap, truncate, mul_many, matmul and relu; the wiring decides
-# which multiplies share a round, so the round ledger is the same for both.
+# ``PlainContext`` (plaintext ring words, the fixed-point twin).  Both take
+# and return plain u64 word arrays, so the wiring adds, reshapes and slices
+# them directly.  A backend supplies truncate, mul_many, matmul and relu;
+# the wiring decides which multiplies share a round, so the round ledger is
+# the same for both.
 
 @dataclass
 class PartyContext:
@@ -172,22 +173,19 @@ class PartyContext:
     channel: Channel
     dealer: PartyDealer
 
-    def wrap(self, like: ArithShareTensor, data) -> ArithShareTensor:
-        return ArithShareTensor(like.party_id, data)
-
-    def truncate(self, x: ArithShareTensor) -> ArithShareTensor:
-        return truncate_share(x)
+    def truncate(self, x: np.ndarray) -> np.ndarray:
+        return truncate_share(x, self.channel.party_id)
 
     def mul_many(self, pairs, label: str) -> list:
         triples = [self.dealer.arith_triple(x.shape, y.shape) for x, y in pairs]
         return mul_beaver_many(pairs, triples, self.channel, label=label)
 
-    def matmul(self, x: ArithShareTensor, w: ArithShareTensor, label: str):
+    def matmul(self, x: np.ndarray, w: np.ndarray, label: str) -> np.ndarray:
         triple = self.dealer.matmul_triple(x.shape, w.shape)
         (raw,) = matmul_beaver_many([(x, w)], [triple], self.channel, label=label)
         return raw
 
-    def relu(self, x: ArithShareTensor) -> ArithShareTensor:
+    def relu(self, x: np.ndarray) -> np.ndarray:
         """Sign extraction (8 rounds) plus one multiply computing x - b*x."""
         b = ltz(x, self.dealer, self.channel)
         (prod,) = self.mul_many([(b, x)], "relu-mul")
@@ -196,35 +194,32 @@ class PartyContext:
 
 
 class PlainContext:
-    """Plaintext backend: the fixed-point twin on ``FixedTensor`` words.
+    """Plaintext backend: the fixed-point twin on plaintext ring words.
 
     Products are local and exact and truncation is the exact signed shift,
     so the private result differs from the twin only by the 1-ulp errors
     (and rare failures) of local share truncation.  Labels are ignored.
     """
 
-    def wrap(self, like: FixedTensor, data) -> FixedTensor:
-        return FixedTensor(data)
-
-    def truncate(self, x: FixedTensor) -> FixedTensor:
-        return FixedTensor(truncate(x.data))
+    def truncate(self, x: np.ndarray) -> np.ndarray:
+        return truncate(x)
 
     def mul_many(self, pairs, label: str) -> list:
-        return [self.wrap(x, x.data * y.data) for x, y in pairs]
+        return [x * y for x, y in pairs]
 
-    def matmul(self, x: FixedTensor, w: FixedTensor, label: str) -> FixedTensor:
-        return self.wrap(x, kernels.matmul_u64(x.data, w.data))
+    def matmul(self, x: np.ndarray, w: np.ndarray, label: str) -> np.ndarray:
+        return kernels.matmul_u64(x, w)
 
-    def relu(self, x: FixedTensor) -> FixedTensor:
-        return self.wrap(x, np.where(x.data.view(np.int64) < 0, np.uint64(0), x.data))
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x.view(np.int64) < 0, np.uint64(0), x)
 
 
 def _mul_public_real(ctx, x, value: float):
-    return ctx.truncate(ctx.wrap(x, x.data * encode_fixed(value)))
+    return ctx.truncate(x * encode_fixed(value))
 
 
 def _row_mean(ctx, x):
-    total = ctx.wrap(x, np.sum(x.data, axis=-1, keepdims=True, dtype=np.uint64))
+    total = np.sum(x, axis=-1, keepdims=True, dtype=np.uint64)
     return _mul_public_real(ctx, total, 1.0 / x.shape[-1])
 
 
@@ -252,7 +247,7 @@ def layernorm_private(ctx, x, gain, bias, round_budget: int = 3):
     """
     coeffs = rsqrt_poly(round_budget)
     xc = x - _row_mean(ctx, x)
-    sq_raw, gx_raw = ctx.mul_many([(xc, xc), (ctx.wrap(x, gain.data), xc)], "ln-var")
+    sq_raw, gx_raw = ctx.mul_many([(xc, xc), (gain, xc)], "ln-var")
     v = _row_mean(ctx, ctx.truncate(sq_raw))
     gx = ctx.truncate(gx_raw)
 
@@ -265,21 +260,20 @@ def layernorm_private(ctx, x, gain, bias, round_budget: int = 3):
         gxv2_raw, gxv3_raw = ctx.mul_many([(gx, v2), (gxv, v2)], "ln-apply")
         terms = [gx, gxv, ctx.truncate(gxv2_raw), ctx.truncate(gxv3_raw)]
 
-    out = ctx.wrap(x, bias.data)
+    out = bias
     for c, t in zip(coeffs, terms):
         out = out + _mul_public_real(ctx, t, c)
     return out
 
 
-def _split_heads(ctx, x, config: AdapterConfig):
+def _split_heads(x, config: AdapterConfig):
     n, r = x.shape
-    data = x.data.reshape(n, config.h, config.head_dim).transpose(1, 0, 2)
-    return ctx.wrap(x, np.ascontiguousarray(data))
+    return np.ascontiguousarray(x.reshape(n, config.h, config.head_dim).transpose(1, 0, 2))
 
 
-def _merge_heads(ctx, x):
+def _merge_heads(x):
     h, n, dh = x.shape
-    return ctx.wrap(x, np.ascontiguousarray(x.data.transpose(1, 0, 2).reshape(n, h * dh)))
+    return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(n, h * dh))
 
 
 def linatten_private(ctx, q, k, v, wl):
@@ -290,9 +284,9 @@ def linatten_private(ctx, q, k, v, wl):
     and there is no comparison, Softmax, or division.
     """
     h, n, dh = q.shape
-    kt = ctx.wrap(k, np.ascontiguousarray(k.data.transpose(0, 2, 1)))
+    kt = np.ascontiguousarray(k.transpose(0, 2, 1))
     scores = ctx.truncate(ctx.matmul(q, kt, "atten-qk"))  # [h, N, N]
-    wl_b = ctx.wrap(wl, np.ascontiguousarray(np.broadcast_to(wl.data, (h, n, n))))
+    wl_b = np.ascontiguousarray(np.broadcast_to(wl, (h, n, n)))
     mixed = linear_private(ctx, wl_b, scores)
     return ctx.truncate(ctx.matmul(mixed, v, "atten-av"))
 
@@ -307,9 +301,9 @@ def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,
     q = linear_private(ctx, ln1, g("wq"))
     k = linear_private(ctx, ln1, g("wk"))
     v = linear_private(ctx, ln1, g("wv"))
-    att = linatten_private(ctx, _split_heads(ctx, q, config), _split_heads(ctx, k, config),
-                           _split_heads(ctx, v, config), g("wl"))
-    a = u + linear_private(ctx, _merge_heads(ctx, att), g("attn_out"))
+    att = linatten_private(ctx, _split_heads(q, config), _split_heads(k, config),
+                           _split_heads(v, config), g("wl"))
+    a = u + linear_private(ctx, _merge_heads(att), g("attn_out"))
     ln2 = layernorm_private(ctx, a, g("ln2.gain"), g("ln2.bias"), round_budget=3)
     m = relu_private(ctx, linear_private(ctx, ln2, g("fc1")))
     z = a + linear_private(ctx, m, g("fc2"))
@@ -321,26 +315,19 @@ def pipeline_forward_private(ctx, x, w: dict, config: AdapterConfig):
     classifier.  26 s + 3 rounds on shares; returns the logit vector."""
     for i in range(config.s):
         x = adapter_forward_private(ctx, x, w, config, prefix=f"adapter{i}.")
-    cls = ctx.wrap(x, x.data[0:1, :])
-    normed = layernorm_private(ctx, cls, w["final.gain"], w["final.bias"],
+    normed = layernorm_private(ctx, x[0:1, :], w["final.gain"], w["final.bias"],
                                round_budget=2)
-    logits = linear_private(ctx, normed, w["classifier"])
-    return ctx.wrap(x, logits.data.reshape(-1))
+    return linear_private(ctx, normed, w["classifier"]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
 # plaintext twins (correctness oracles)
 
-def adapter_forward_plain(x: FixedTensor, w: dict, config: AdapterConfig,
-                          prefix: str = "adapter0.") -> FixedTensor:
-    """The fixed-point twin of ``adapter_forward_private``."""
-    return adapter_forward_private(PlainContext(), x, w, config, prefix)
-
-
 def pipeline_forward_plain(x: FixedTensor, w: dict,
                            config: AdapterConfig) -> FixedTensor:
     """The fixed-point twin of ``pipeline_forward_private``."""
-    return pipeline_forward_private(PlainContext(), x, w, config)
+    words = {k: t.data for k, t in w.items()}
+    return FixedTensor(pipeline_forward_private(PlainContext(), x.data, words, config))
 
 
 # The float64 twin is written out independently of the wiring above, so it
@@ -401,7 +388,8 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
     same configuration and tells party 1 how many inputs follow, then one
     distribution round in which each party splits its own tensors (party 0
     its features, party 1 its weights in ``weight_names`` order), keeps
-    ``shares[party_id]`` and sends ``shares[1 - party_id]``."""
+    ``shares[party_id]`` and sends ``shares[1 - party_id]``.  ``features``
+    and ``weights`` hold ``FixedTensor``s; the shares are plain words."""
     channel, pid = ctx.channel, ctx.channel.party_id
     digest = config.digest_words(
         extra=(DEFAULT_CONFIG.frac_bits, len(features) if pid == 0 else 0))
@@ -421,11 +409,10 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
         ([weights[n] for n in names], "weights",
          [(config.n_tokens, config.d_model)] * n_inputs))
     rng = derived_rng(seed, tag)
-    shares = [share_arith(t, rng) for t in own]
-    got = channel.exchange("setup", [s[1 - pid].data for s in shares], peer_shapes)
+    shares = [share_arith(t.data, rng) for t in own]
+    got = channel.exchange("setup", [s[1 - pid] for s in shares], peer_shapes)
     kept = [s[pid] for s in shares]
-    received = [ArithShareTensor(pid, arr) for arr in got]
-    inputs, wlist = (kept, received) if pid == 0 else (received, kept)
+    inputs, wlist = (kept, got) if pid == 0 else (got, kept)
     return inputs, dict(zip(names, wlist))
 
 
@@ -446,10 +433,10 @@ def _result(ctx: PartyContext, logits: list, rounds: list) -> dict:
     """Result phase: party 1 returns its logit shares in one round; only
     party 0 learns the plaintext prediction."""
     if ctx.channel.party_id == 1:
-        ctx.channel.exchange("result", [s.data for s in logits], [(0,)])
+        ctx.channel.exchange("result", logits, [(0,)])
         return {"pipeline_rounds": rounds}
     got = ctx.channel.exchange("result", [np.zeros(0, np.uint64)], [s.shape for s in logits])
-    return {"logits": [decode_fixed(s.data + peer) for s, peer in zip(logits, got)],
+    return {"logits": [decode_fixed(s + peer) for s, peer in zip(logits, got)],
             "pipeline_rounds": rounds}
 
 

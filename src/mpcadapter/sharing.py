@@ -1,13 +1,14 @@
 """Two-party secret sharing and the protocol suite on top of it.
 
-Arithmetic shares are additive mod 2^64; binary shares are plain u64
-word arrays, each bit XOR-shared.  Multiplication uses precomputed Beaver
-triples.  The dealer is not yet a third party: each party builds its own
-view of it from a seed both parties know, so either party can regenerate
-every triple and unmask the peer's openings.  The engine is therefore not
-yet private against its peer.  The views split the dealer's work the way
-a trusted third party would: party 0's view only expands randomness, and
-party 1's view draws the same stream and computes the corrections.
+Both share kinds are plain u64 word arrays: arithmetic shares are
+additive mod 2^64, binary shares XOR-share each bit.  Multiplication
+uses precomputed Beaver triples.  The dealer is not yet a third party:
+each party builds its own view of it from a seed both parties know, so
+either party can regenerate every triple and unmask the peer's openings.
+The engine is therefore not yet private against its peer.  The views
+split the dealer's work the way a trusted third party would: party 0's
+view only expands randomness, and party 1's view draws the same stream
+and computes the corrections.
 
 The Beaver opening, the product of two privately known inputs and the
 dealer's split are each written once, over both share rings: a ring is
@@ -29,37 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ring import DEFAULT_CONFIG, RING_BITS, FixedTensor
+from .ring import DEFAULT_CONFIG, RING_BITS
 from .runtime import Channel
 
 
 class AuditError(RuntimeError):
     """Plain (unmasked) opening attempted while the channel forbids it."""
-
-
-@dataclass
-class ArithShareTensor:
-    party_id: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint64)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def _check(self, other):
-        if self.party_id != other.party_id:
-            raise ValueError("shares belong to different parties")
-
-    def __add__(self, other):
-        self._check(other)
-        return ArithShareTensor(self.party_id, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ArithShareTensor(self.party_id, self.data - other.data)
 
 
 @dataclass
@@ -182,15 +158,10 @@ def party_dealer(seed: int, party_id: int) -> PartyDealer:
 # ---------------------------------------------------------------------------
 # sharing / reconstruction
 
-def share_arith(x: FixedTensor, rng) -> tuple:
-    s0 = _rand_words(rng, x.shape)
-    return ArithShareTensor(0, s0), ArithShareTensor(1, x.data - s0)
-
-
-def reconstruct_arith(s0: ArithShareTensor, s1: ArithShareTensor) -> FixedTensor:
-    if s0.shape != s1.shape:
-        raise ValueError(f"share shape mismatch: {s0.shape} vs {s1.shape}")
-    return FixedTensor(s0.data + s1.data)
+def share_arith(x: np.ndarray, rng) -> tuple:
+    """Additively share u64 words: party 0's words, then party 1's."""
+    s0 = _rand_words(rng, np.shape(x))
+    return s0, np.asarray(x, np.uint64) - s0
 
 
 def share_bin(x: np.ndarray, rng) -> tuple:
@@ -199,13 +170,13 @@ def share_bin(x: np.ndarray, rng) -> tuple:
     return s0, np.asarray(x, np.uint64) ^ s0
 
 
-def open_values(share: ArithShareTensor, channel: Channel,
-                label: str = "open") -> FixedTensor:
+def open_values(share: np.ndarray, channel: Channel,
+                label: str = "open") -> np.ndarray:
     """Interactive reconstruction: exchange shares, both sides learn x."""
     if channel.forbid_plain_open:
         raise AuditError("plain opening is forbidden on this channel")
-    (peer,) = channel.exchange(label, [share.data])
-    return FixedTensor(share.data + peer)
+    (peer,) = channel.exchange(label, [share])
+    return share + peer
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +224,6 @@ def _known_product(own, pair: InputPairShare, channel: Channel, label,
     return add(pair.c, cross), peer
 
 
-def _arith_beaver_many(pairs, triples, channel: Channel, label, product):
-    words = _beaver_many([(x.data, y.data) for x, y in pairs], triples, channel,
-                         label, product, ARITH)
-    return [ArithShareTensor(x.party_id, z) for (x, _), z in zip(pairs, words)]
-
-
 def mul_beaver_many(pairs, triples, channel: Channel,
                     label: str = "beaver-open"):
     """Batch of elementwise share*share products in one round.
@@ -266,16 +231,16 @@ def mul_beaver_many(pairs, triples, channel: Channel,
     Results are raw ring products (scale 2^2f for two fixed-point inputs);
     callers truncate.
     """
-    return _arith_beaver_many(pairs, triples, channel, label, np.multiply)
+    return _beaver_many(pairs, triples, channel, label, np.multiply, ARITH)
 
 
 def matmul_beaver_many(pairs, triples, channel: Channel,
                        label: str = "beaver-open"):
     """Batch of share x share matrix products in one round (raw scale)."""
-    return _arith_beaver_many(pairs, triples, channel, label, kernels.matmul_u64)
+    return _beaver_many(pairs, triples, channel, label, kernels.matmul_u64, ARITH)
 
 
-def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
+def truncate_share(x: np.ndarray, party_id: int) -> np.ndarray:
     """Local probabilistic truncation from scale 2^2f back to 2^f.
 
     Party 0 floor-divides its share, party 1 negates/divides/negates; the
@@ -283,11 +248,9 @@ def truncate_share(x: ArithShareTensor) -> ArithShareTensor:
     with negligible probability under the 2^62 headroom guard.
     """
     f = np.uint64(DEFAULT_CONFIG.frac_bits)
-    if x.party_id == 0:
-        data = x.data >> f
-    else:
-        data = np.uint64(0) - ((np.uint64(0) - x.data) >> f)
-    return ArithShareTensor(x.party_id, data)
+    if party_id == 0:
+        return x >> f
+    return np.uint64(0) - ((np.uint64(0) - x) >> f)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +264,7 @@ def and_beaver_many(pairs, triples, channel: Channel, label: str = "beaver-open"
 # ---------------------------------------------------------------------------
 # conversions
 
-def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> np.ndarray:
+def a2b(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:
     """Arithmetic -> binary conversion, 7 rounds; returns this party's XOR words.
 
     Each party XOR-shares its own arithmetic share; because that share is
@@ -313,7 +276,7 @@ def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> np.ndarra
     pair = dealer.bin_input_pair(x.shape)
     # XOR-shares of the summands' generate word g = s0 & s1 and of the
     # propagate word p = s0 ^ s1 (the peer's masked share ^ our mask).
-    g, peer = _known_product(x.data, pair, channel, "a2b-dist",
+    g, peer = _known_product(x, pair, channel, "a2b-dist",
                              np.bitwise_and, BINARY)
     p = pair.known ^ peer
 
@@ -326,7 +289,7 @@ def a2b(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> np.ndarra
 
 
 def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
-                 channel: Channel) -> ArithShareTensor:
+                 channel: Channel) -> np.ndarray:
     """Single-bit XOR shares -> additive shares of the same bit, 1 round.
 
     b = b0 + b1 - 2*b0*b1 where each party knows its own XOR share, so the
@@ -336,21 +299,20 @@ def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
     if np.any(bits > 1):
         raise ValueError("bit_to_arith expects 0/1-valued shares")
     prod, _ = _known_product(bits, pair, channel, "bit-open", np.multiply, ARITH)
-    return ArithShareTensor(channel.party_id, bits - np.uint64(2) * prod)
+    return bits - np.uint64(2) * prod
 
 
 def b2a_full(words: np.ndarray, dealer: PartyDealer,
-             channel: Channel) -> ArithShareTensor:
+             channel: Channel) -> np.ndarray:
     """Binary -> arithmetic over all 64 bits, batched into one round."""
     shifts = np.arange(RING_BITS, dtype=np.uint64).reshape(
         (RING_BITS,) + (1,) * np.ndim(words))
     planes = (words >> shifts) & np.uint64(1)
     bit_shares = bit_to_arith(planes, dealer.arith_input_pair(planes.shape), channel)
-    return ArithShareTensor(channel.party_id,
-                            np.sum(bit_shares.data << shifts, axis=0, dtype=np.uint64))
+    return np.sum(bit_shares << shifts, axis=0, dtype=np.uint64)
 
 
-def ltz(x: ArithShareTensor, dealer: PartyDealer, channel: Channel) -> ArithShareTensor:
+def ltz(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:
     """Private sign test: 1 iff x < 0, at integer scale.  8 rounds."""
     msb = a2b(x, dealer, channel) >> np.uint64(RING_BITS - 1)
     return bit_to_arith(msb, dealer.arith_input_pair(x.shape), channel)

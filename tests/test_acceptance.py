@@ -21,12 +21,11 @@ from mpcadapter.nas import (ExhaustiveController, SearchSpace, SearchTargets,
 from mpcadapter.nn import (AdapterConfig, derived_rng, inference_party,
                            pipeline_forward_float, private_inference,
                            random_features, random_weights, weights_to_float)
-from mpcadapter.ring import FixedTensor
+from mpcadapter.ring import encode_fixed
 from mpcadapter.runtime import LAN, WAN, MeterSummary, NetworkEnv, \
     simulate_latency, tcp_channel
 from mpcadapter.sharing import (a2b, and_beaver_many, b2a_full, ltz,
-                                mul_beaver_many, reconstruct_arith, share_arith,
-                                share_bin)
+                                mul_beaver_many, share_arith, share_bin)
 
 from protocol_helpers import run_protocol
 
@@ -85,16 +84,14 @@ def test_criterion_3_protocol_exactness(report):
     n = 1000
     rng = np.random.Generator(np.random.PCG64(7))
     vals = rng.uniform(-100, 100, size=n)
-    x = FixedTensor.from_real(vals)
-    y = FixedTensor.from_real(rng.uniform(-100, 100, size=n))
+    x = encode_fixed(vals)
+    y = encode_fixed(rng.uniform(-100, 100, size=n))
     checks = {}
 
     s0, s1 = share_arith(x, rng)
-    checks["share roundtrip"] = np.array_equal(
-        reconstruct_arith(s0, s1).data, x.data)
+    checks["share roundtrip"] = np.array_equal(s0 + s1, x)
     t0_, t1_ = share_arith(y, rng)
-    checks["homomorphism"] = np.array_equal(
-        reconstruct_arith(s0 + t0_, s1 + t1_).data, x.data + y.data)
+    checks["homomorphism"] = np.array_equal((s0 + t0_) + (s1 + t1_), x + y)
 
     def beaver(pid, ch, dealer):
         xs = (s0, s1)[pid]
@@ -102,8 +99,7 @@ def test_criterion_3_protocol_exactness(report):
         (z,) = mul_beaver_many([(xs, ys)], [dealer.arith_triple((n,))], ch)
         return z
     z0, z1, _ = run_protocol(beaver)
-    checks["beaver product"] = np.array_equal(
-        reconstruct_arith(z0, z1).data, x.data * y.data)
+    checks["beaver product"] = np.array_equal(z0 + z1, x * y)
 
     words_a = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
     words_b = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
@@ -121,14 +117,12 @@ def test_criterion_3_protocol_exactness(report):
         back = b2a_full(a2b((s0, s1)[pid], dealer, ch), dealer, ch)
         return back
     r0, r1, _ = run_protocol(roundtrip)
-    checks["a2b/b2a roundtrip"] = np.array_equal(
-        reconstruct_arith(r0, r1).data, x.data)
+    checks["a2b/b2a roundtrip"] = np.array_equal(r0 + r1, x)
 
     def sign(pid, ch, dealer):
         return ltz((s0, s1)[pid], dealer, ch)
     g0, g1, _ = run_protocol(sign)
-    checks["ltz vs sign"] = np.array_equal(
-        reconstruct_arith(g0, g1).data, (vals < 0).astype(np.uint64))
+    checks["ltz vs sign"] = np.array_equal(g0 + g1, (vals < 0).astype(np.uint64))
 
     elapsed = time.perf_counter() - t0
     bad = [k for k, v in checks.items() if not v]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mpcadapter import tensorio
+from mpcadapter import cli, tensorio
 from mpcadapter.cli import RunConfig, ConfigError, main
-from mpcadapter.nn import AdapterConfig, derived_rng, random_weights
+from mpcadapter.nn import (AdapterConfig, ConfigMismatchError, derived_rng,
+                           inference_party, random_features, random_weights)
 from mpcadapter.ring import DEFAULT_CONFIG
 from mpcadapter.runtime import tcp_channel
 
@@ -220,6 +221,44 @@ def test_infer_role1_rejects_forged_input_count(runner, tmp_path, count):
     assert not t.is_alive()
     assert res.exit_code == 4, res.output
     assert f"declares {count} inputs" in res.output
+
+
+@pytest.mark.parametrize("peer_h,code", [(1, 0), (2, 4)], ids=["success", "mismatch"])
+def test_infer_tcp_closes_its_socket(runner, tmp_path, monkeypatch, peer_h, code):
+    """`infer --role 1` closes its TCP socket whether the protocol succeeds
+    or the peer runs another configuration (exit 4)."""
+    cfg_path = _write_demo_files(tmp_path)
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    opened = []
+
+    def recording_tcp_channel(*args, **kwargs):
+        opened.append(tcp_channel(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "tcp_channel", recording_tcp_channel)
+    peer_config = AdapterConfig(h=peer_h)
+
+    def party0():
+        ch = tcp_channel(0, "127.0.0.1", port, timeout=10)
+        feats = [random_features(peer_config, derived_rng(0, "inputs"))]
+        try:
+            inference_party(0, peer_config, 0, features=feats)(ch)
+        except ConfigMismatchError:
+            pass
+        finally:
+            ch.end.close()
+
+    t = threading.Thread(target=party0)
+    t.start()
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer", "--role", "1",
+                               "--addr", f"127.0.0.1:{port}"])
+    t.join(timeout=15)
+    assert not t.is_alive()
+    assert res.exit_code == code, res.output
+    assert len(opened) == 1
+    assert opened[0].end._sock.fileno() == -1  # closed
 
 
 def test_bad_config_is_usage_error(runner, tmp_path):

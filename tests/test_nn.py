@@ -9,7 +9,7 @@ from protocol_helpers import run_protocol
 from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            RSQRT_CUBIC_WINDOW, AdapterConfig,
                            ConfigMismatchError, PartyContext, PlainContext,
-                           adapter_forward_float, adapter_forward_plain,
+                           adapter_forward_float,
                            adapter_forward_private, derived_rng,
                            inference_party, layernorm_float, layernorm_private,
                            linatten_private, linear_private,
@@ -17,7 +17,7 @@ from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            private_inference, random_features, random_weights,
                            relu_private, rsqrt_poly, weight_names,
                            weight_shape, weights_to_float)
-from mpcadapter.ring import FixedTensor, decode_fixed, encode_fixed
+from mpcadapter.ring import decode_fixed, encode_fixed
 from mpcadapter.runtime import run_two_party
 from mpcadapter.sharing import share_arith
 
@@ -111,12 +111,12 @@ def test_rsqrt_budget_dispatch():
 
 def _plain_mul(x, y):
     ctx = PlainContext()
-    (raw,) = ctx.mul_many([(FixedTensor.from_real(x), FixedTensor.from_real(y))], "t")
-    return ctx.truncate(raw).to_real()
+    (raw,) = ctx.mul_many([(encode_fixed(x), encode_fixed(y))], "t")
+    return decode_fixed(ctx.truncate(raw))
 
 
 def _plain_matmul(a, b):
-    return linear_private(PlainContext(), a, b).to_real()
+    return decode_fixed(linear_private(PlainContext(), a, b))
 
 
 def test_mul_examples():
@@ -135,15 +135,15 @@ def test_mul_error_bound(x, y):
 
 
 def test_matmul_identity(rng):
-    b = FixedTensor.from_real(rng.standard_normal((2, 3)))
-    eye = FixedTensor.from_real(np.eye(2))
+    b = encode_fixed(rng.standard_normal((2, 3)))
+    eye = encode_fixed(np.eye(2))
     got = _plain_matmul(eye, b)
-    assert np.max(np.abs(got - b.to_real())) <= 2 * ULP
+    assert np.max(np.abs(got - decode_fixed(b))) <= 2 * ULP
 
 
 def test_matmul_hand():
-    a = FixedTensor.from_real([[1.0, 2.0]])
-    b = FixedTensor.from_real([[3.0], [4.0]])
+    a = encode_fixed([[1.0, 2.0]])
+    b = encode_fixed([[3.0], [4.0]])
     assert _plain_matmul(a, b) == [[11.0]]
 
 
@@ -151,13 +151,13 @@ def test_matmul_vs_float(rng):
     k = 4
     a = rng.standard_normal((4, k))
     b = rng.standard_normal((k, 4))
-    got = _plain_matmul(FixedTensor.from_real(a), FixedTensor.from_real(b))
+    got = _plain_matmul(encode_fixed(a), encode_fixed(b))
     assert np.max(np.abs(got - a @ b)) <= k * ULP * max(1.0, np.abs(a).max(), np.abs(b).max())
 
 
 def test_matmul_shape_mismatch(rng):
-    a = FixedTensor.from_real(rng.standard_normal((2, 3)))
-    b = FixedTensor.from_real(rng.standard_normal((2, 3)))
+    a = encode_fixed(rng.standard_normal((2, 3)))
+    b = encode_fixed(rng.standard_normal((2, 3)))
     with pytest.raises(ValueError):
         _plain_matmul(a, b)
 
@@ -173,58 +173,57 @@ def _ctx_protocol(fn):
 
 
 def test_linear_identity(rng):
-    x = FixedTensor.from_real(rng.standard_normal((4, 6)))
-    w = FixedTensor.from_real(np.eye(6))
+    x = encode_fixed(rng.standard_normal((4, 6)))
+    w = encode_fixed(np.eye(6))
     xs, ws = share_arith(x, rng), share_arith(w, rng)
 
     def fn(ctx, pid):
-        out = linear_private(ctx, xs[pid], ws[pid])
-        return out.data
+        return linear_private(ctx, xs[pid], ws[pid])
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
-    assert np.max(np.abs(decode_fixed(out0 + out1) - x.to_real())) <= 8 * ULP
+    assert np.max(np.abs(decode_fixed(out0 + out1) - decode_fixed(x))) <= 8 * ULP
     assert m0.rounds == 1
 
 
 def test_relu_exact(rng):
     vals = np.concatenate([[-2.0, 3.0, 0.0], rng.uniform(-10, 10, 61)])
-    x = FixedTensor.from_real(vals)
+    x = encode_fixed(vals)
     xs = share_arith(x, rng)
 
     def fn(ctx, pid):
-        return relu_private(ctx, xs[pid]).data
+        return relu_private(ctx, xs[pid])
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
-    assert np.max(np.abs(got - np.maximum(0.0, x.to_real()))) <= 2.0 ** -15
+    assert np.max(np.abs(got - np.maximum(0.0, decode_fixed(x)))) <= 2.0 ** -15
     assert m0.rounds == 9
 
 
 def test_layernorm_constant_row_is_bias(rng):
     d = 8
-    x = FixedTensor.from_real(np.full((2, d), 1.7))
-    gain = FixedTensor.from_real(1.0 + 0.0 * np.zeros(d))
-    bias = FixedTensor.from_real(rng.standard_normal(d) * 0.1)
+    x = encode_fixed(np.full((2, d), 1.7))
+    gain = encode_fixed(1.0 + 0.0 * np.zeros(d))
+    bias = encode_fixed(rng.standard_normal(d) * 0.1)
     xs = share_arith(x, rng)
     gs, bs = share_arith(gain, rng), share_arith(bias, rng)
 
     def fn(ctx, pid):
-        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], 3).data
+        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], 3)
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
-    assert np.max(np.abs(got - bias.to_real())) <= 1e-3
+    assert np.max(np.abs(got - decode_fixed(bias))) <= 1e-3
     assert m0.rounds == 3
 
 
 def test_layernorm_unit_variance_row(rng):
-    x = FixedTensor.from_real(np.array([[1.0, -1.0]]))
-    gain = FixedTensor.from_real(np.ones(2))
-    bias = FixedTensor.from_real(np.zeros(2))
+    x = encode_fixed(np.array([[1.0, -1.0]]))
+    gain = encode_fixed(np.ones(2))
+    bias = encode_fixed(np.zeros(2))
     xs, gs, bs = share_arith(x, rng), share_arith(gain, rng), share_arith(bias, rng)
 
     def fn(ctx, pid):
-        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], 3).data
+        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], 3)
 
     out0, out1, _ = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
@@ -241,17 +240,17 @@ def test_layernorm_matches_float_twin(rng, budget, rounds):
     target = rng.uniform(lo * 1.05, hi * 0.95, size=(6, 1))
     rows = (rows - rows.mean(-1, keepdims=True))
     rows *= np.sqrt(target / rows.var(-1, keepdims=True))
-    x = FixedTensor.from_real(rows)
-    gain = FixedTensor.from_real(1.0 + 0.05 * rng.standard_normal(d))
-    bias = FixedTensor.from_real(0.02 * rng.standard_normal(d))
+    x = encode_fixed(rows)
+    gain = encode_fixed(1.0 + 0.05 * rng.standard_normal(d))
+    bias = encode_fixed(0.02 * rng.standard_normal(d))
     xs, gs, bs = share_arith(x, rng), share_arith(gain, rng), share_arith(bias, rng)
 
     def fn(ctx, pid):
-        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], budget).data
+        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], budget)
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
-    want = layernorm_float(x.to_real(), gain.to_real(), bias.to_real(), budget)
+    want = layernorm_float(decode_fixed(x), decode_fixed(gain), decode_fixed(bias), budget)
     assert np.max(np.abs(got - want)) <= 1e-3
     assert m0.rounds == rounds
 
@@ -259,13 +258,13 @@ def test_layernorm_matches_float_twin(rng, budget, rounds):
 def test_linatten_zero_values(rng):
     cfg = AdapterConfig(h=2, r=8)
     shape = (cfg.h, cfg.n_tokens, cfg.head_dim)
-    q = share_arith(FixedTensor.from_real(rng.standard_normal(shape)), rng)
-    k = share_arith(FixedTensor.from_real(rng.standard_normal(shape)), rng)
-    v = share_arith(FixedTensor.from_real(np.zeros(shape)), rng)
-    wl = share_arith(FixedTensor.from_real(rng.standard_normal((8, 8)) * 0.1), rng)
+    q = share_arith(encode_fixed(rng.standard_normal(shape)), rng)
+    k = share_arith(encode_fixed(rng.standard_normal(shape)), rng)
+    v = share_arith(encode_fixed(np.zeros(shape)), rng)
+    wl = share_arith(encode_fixed(rng.standard_normal((8, 8)) * 0.1), rng)
 
     def fn(ctx, pid):
-        return linatten_private(ctx, q[pid], k[pid], v[pid], wl[pid]).data
+        return linatten_private(ctx, q[pid], k[pid], v[pid], wl[pid])
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     assert np.max(np.abs(decode_fixed(out0 + out1))) <= 16 * ULP
@@ -278,13 +277,13 @@ def test_linatten_hand_single_head(rng):
     kv = np.array([[[2.0, 0.0], [0.0, 0.5]]])
     vv = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     wl = np.eye(n)
-    q = share_arith(FixedTensor.from_real(qv), rng)
-    k = share_arith(FixedTensor.from_real(kv), rng)
-    v = share_arith(FixedTensor.from_real(vv), rng)
-    wls = share_arith(FixedTensor.from_real(wl), rng)
+    q = share_arith(encode_fixed(qv), rng)
+    k = share_arith(encode_fixed(kv), rng)
+    v = share_arith(encode_fixed(vv), rng)
+    wls = share_arith(encode_fixed(wl), rng)
 
     def fn(ctx, pid):
-        return linatten_private(ctx, q[pid], k[pid], v[pid], wls[pid]).data
+        return linatten_private(ctx, q[pid], k[pid], v[pid], wls[pid])
 
     out0, out1, _ = run_protocol(_ctx_protocol(fn))
     want = (wl @ (qv[0] @ kv[0].T)) @ vv[0]
@@ -295,13 +294,13 @@ def test_linatten_is_comparison_free(rng):
     """No sign-test or share-conversion traffic on the attention path."""
     cfg = AdapterConfig(h=2, r=8)
     shape = (cfg.h, cfg.n_tokens, cfg.head_dim)
-    q = share_arith(FixedTensor.from_real(rng.standard_normal(shape)), rng)
-    k = share_arith(FixedTensor.from_real(rng.standard_normal(shape)), rng)
-    v = share_arith(FixedTensor.from_real(rng.standard_normal(shape)), rng)
-    wl = share_arith(FixedTensor.from_real(rng.standard_normal((8, 8)) * 0.1), rng)
+    q = share_arith(encode_fixed(rng.standard_normal(shape)), rng)
+    k = share_arith(encode_fixed(rng.standard_normal(shape)), rng)
+    v = share_arith(encode_fixed(rng.standard_normal(shape)), rng)
+    wl = share_arith(encode_fixed(rng.standard_normal((8, 8)) * 0.1), rng)
 
     def fn(ctx, pid):
-        return linatten_private(ctx, q[pid], k[pid], v[pid], wl[pid]).data
+        return linatten_private(ctx, q[pid], k[pid], v[pid], wl[pid])
 
     _, _, (m0, _) = run_protocol(_ctx_protocol(fn))
     assert set(m0.breakdown) <= {"atten-qk", "atten-av", "linear"}
@@ -313,12 +312,12 @@ def test_linatten_is_comparison_free(rng):
 def _run_adapter(config, rng, seed=0):
     weights = random_weights(config, derived_rng(seed, "weights"))
     feat = random_features(config, derived_rng(seed, "inputs"))
-    wshares = {k: share_arith(v, rng) for k, v in weights.items()}
-    xs = share_arith(feat, rng)
+    wshares = {k: share_arith(v.data, rng) for k, v in weights.items()}
+    xs = share_arith(feat.data, rng)
 
     def fn(ctx, pid):
         w = {k: v[pid] for k, v in wshares.items()}
-        return adapter_forward_private(ctx, xs[pid], w, config).data
+        return adapter_forward_private(ctx, xs[pid], w, config)
 
     out0, out1, meters = run_protocol(_ctx_protocol(fn), seed=seed)
     return feat, weights, decode_fixed(out0 + out1), meters
@@ -335,7 +334,8 @@ def test_adapter_is_26_rounds(rng, h, r):
 def test_adapter_matches_oracles(rng):
     config = AdapterConfig(h=2, r=8)
     feat, weights, got, _ = _run_adapter(config, rng)
-    plain = adapter_forward_plain(feat, weights, config).to_real()
+    words = {k: v.data for k, v in weights.items()}
+    plain = decode_fixed(adapter_forward_private(PlainContext(), feat.data, words, config))
     ref = adapter_forward_float(feat.to_real(), weights_to_float(weights), config)
     assert np.max(np.abs(got - plain)) <= 1e-3
     assert np.max(np.abs(got - ref)) <= 1e-3
