@@ -250,7 +250,9 @@ def truncate_share(x: np.ndarray, party_id: int) -> np.ndarray:
     f = np.uint64(DEFAULT_CONFIG.frac_bits)
     if party_id == 0:
         return x >> f
-    return np.uint64(0) - ((np.uint64(0) - x) >> f)
+    # np.negative wraps mod 2^64 silently; on a 0-d share `0 - x` would be
+    # numpy scalar arithmetic, which warns on that wrap.
+    return np.negative(np.negative(x) >> f)
 
 
 # ---------------------------------------------------------------------------

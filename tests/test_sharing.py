@@ -1,5 +1,6 @@
 import hashlib
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ def test_truncate_error_one_ulp(rng):
     sh1 = truncate_share(raw - s0, 1)
     got = decode_fixed(sh0 + sh1)
     assert np.max(np.abs(got - decode_fixed(encode_fixed(vals)))) <= ULP
+
+
+@pytest.mark.parametrize("pid", [0, 1])
+@pytest.mark.parametrize("word", [np.uint64, lambda v: np.array(v, np.uint64)],
+                         ids=["scalar", "0-d"])
+def test_truncate_0d_share_wraps_silently(pid, word):
+    """A 0-d share truncates to the same word as a 1-element one, and the
+    wrap mod 2^64 raises no numpy scalar-overflow warning."""
+    for v in (5, (1 << 64) - 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = truncate_share(word(v), pid)
+        assert np.ndim(got) == 0
+        assert got == truncate_share(np.array([v], np.uint64), pid)[0]
 
 
 def _truncation_error_ulps(x: int, u: int) -> int:
