@@ -1,23 +1,15 @@
 """Hot numeric kernels on the 64-bit ring.
 
 All arithmetic is mod 2^64 with wraparound (numpy uint64 semantics).
-numpy has no BLAS path for uint64, so ring matmul picks its loop by shape.
-A product with an inner dimension of at least ``EINSUM_MIN_INNER`` and at
-least ``EINSUM_MIN_OUTPUTS`` outputs per matrix transposes ``b`` into a
-contiguous copy and runs ``np.einsum``, so every output word is a dot
-product over two contiguous rows.  Smaller products stay on ``np.matmul``:
-there the copy and einsum's setup cost more than they save (1-2 us per
-call, which adds up over the many tiny products of a desk-scale request).
-Both loops wrap mod 2^64, so the words are identical.  The time per layer
-shows in a traced benchmark run (``python3 inferbench/run.py --trace 1``,
-``p*.kernels.matmul.self_s``).
+numpy has no BLAS path for uint64, and ``np.matmul`` walks the right
+operand by column.  Ring matmul therefore copies ``b`` transposed into a
+contiguous array and runs ``np.einsum``, so every output word is a dot
+product over two contiguous rows; the sum wraps mod 2^64, so the words are
+those of ``np.matmul``.  The time per layer shows in a traced benchmark run
+(``python3 inferbench/run.py --trace 1``, ``p*.kernels.matmul.self_s``).
 """
 
 import numpy as np
-
-# Shape rule of ``matmul_u64``: the einsum loop wins from here up.
-EINSUM_MIN_INNER = 16
-EINSUM_MIN_OUTPUTS = 1024
 
 
 def matmul_shape(shape_a, shape_b) -> tuple:
@@ -39,11 +31,8 @@ def matmul_shape(shape_a, shape_b) -> tuple:
 def matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ring matrix product mod 2^64 of uint64 operands (see ``matmul_shape``)."""
     matmul_shape(a.shape, b.shape)
-    if a.shape[-1] >= EINSUM_MIN_INNER and a.shape[-2] * b.shape[-1] >= EINSUM_MIN_OUTPUTS:
-        bt = np.ascontiguousarray(np.swapaxes(b, -1, -2))
-        return np.einsum("...ij,...kj->...ik", a, bt)
-    with np.errstate(over="ignore"):
-        return np.matmul(a, b)
+    bt = np.ascontiguousarray(np.swapaxes(b, -1, -2))
+    return np.einsum("...ij,...kj->...ik", a, bt)
 
 
 def arith_shift_right(v: np.ndarray, bits: int) -> np.ndarray:

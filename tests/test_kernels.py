@@ -45,59 +45,6 @@ def test_matmul_strided_views_exact(rng):
         assert np.array_equal(got[i], _py_matmul_mod(batch[i], batch[i].T))
 
 
-def _words(rng, shape):
-    return rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-
-
-def _einsum_calls(monkeypatch):
-    """Count the products ``matmul_u64`` sends down its einsum loop."""
-    calls = []
-    einsum = np.einsum
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return einsum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counted)
-    return calls
-
-
-@pytest.mark.parametrize("inner, einsum", [(16, True), (15, False)])
-def test_matmul_both_branches_exact(rng, monkeypatch, inner, einsum):
-    """Either side of the inner-dimension threshold gives the exact words."""
-    calls = _einsum_calls(monkeypatch)
-    a = _words(rng, (32, inner))
-    b = _words(rng, (inner, 32))
-    assert np.array_equal(kernels.matmul_u64(a, b), _py_matmul_mod(a, b))
-    assert len(calls) == int(einsum)
-
-
-def test_matmul_einsum_branch_batch_exact(rng, monkeypatch):
-    calls = _einsum_calls(monkeypatch)
-    a = _words(rng, (2, 32, 16))
-    b = _words(rng, (2, 16, 32))
-    got = kernels.matmul_u64(a, b)
-    assert len(calls) == 1
-    for i in range(2):
-        assert np.array_equal(got[i], _py_matmul_mod(a[i], b[i]))
-
-
-def test_matmul_einsum_branch_strided_views_exact(rng, monkeypatch):
-    """Transposed and strided views on the einsum loop give the exact product."""
-    calls = _einsum_calls(monkeypatch)
-    a = _words(rng, (64, 64))
-    b = _words(rng, (64, 64))
-    views = ((a.T[::2], b.T[:, ::2]), (a[:, ::2], b[::2]), (a[::2, 1::2], b.T[:32, :32]))
-    for x, y in views:
-        assert not (x.flags.c_contiguous and y.flags.c_contiguous)
-        assert np.array_equal(kernels.matmul_u64(x, y), _py_matmul_mod(x, y))
-    batch = _words(rng, (2, 32, 32))
-    got = kernels.matmul_u64(batch, batch.transpose(0, 2, 1))
-    for i in range(2):
-        assert np.array_equal(got[i], _py_matmul_mod(batch[i], batch[i].T))
-    assert len(calls) == len(views) + 1
-
-
 # Every ring-product shape of one paper-scale inference
 # (h=8, r=64, s=4, d_model=768, n_tokens=128), listed by wrapping
 # ``kernels.matmul_u64`` around ``nn.private_inference``.
@@ -116,27 +63,16 @@ PAPER_PRODUCTS = [
 
 @pytest.mark.parametrize("shape_a, shape_b", PAPER_PRODUCTS)
 def test_matmul_paper_shapes_equal_np_matmul(rng, shape_a, shape_b):
-    a = _words(rng, shape_a)
-    b = _words(rng, shape_b)
+    """Full-range words at paper sizes: the same words as ``np.matmul``."""
+    a = rng.integers(0, 1 << 64, size=shape_a, dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=shape_b, dtype=np.uint64)
     with np.errstate(over="ignore"):
         want = np.matmul(a, b)
     assert np.array_equal(kernels.matmul_u64(a, b), want)
 
 
-def test_matmul_bad_batches_rejected_at_einsum_sizes(rng):
-    """Mixed ranks and batch mismatches raise on shapes big enough for the
-    einsum loop too (the two tests below cover small shapes)."""
-    a = _words(rng, (64, 16))
-    b3 = _words(rng, (3, 16, 64))
-    for x, y in ((a, b3), (b3.transpose(0, 2, 1), a.T)):
-        with pytest.raises(ValueError):
-            kernels.matmul_u64(x, y)
-    with pytest.raises(ValueError):
-        kernels.matmul_u64(_words(rng, (3, 64, 16)), _words(rng, (1, 16, 64)))
-
-
 def test_matmul_mixed_ranks_rejected(rng):
-    """np.matmul would broadcast a 2-D operand across the batch."""
+    """einsum's ``...`` would broadcast a 2-D operand across the batch."""
     a = rng.integers(0, 1 << 64, size=(4, 4), dtype=np.uint64)
     b = rng.integers(0, 1 << 64, size=(3, 4, 4), dtype=np.uint64)
     with pytest.raises(ValueError):
