@@ -4,9 +4,16 @@ Both parties run as independent sequential state machines.  A "round" is
 one synchronized batched exchange (each side sends one message and
 receives the peer's); rounds and payload bytes are counted at the
 protocol layer, so meters are identical across transports.
+
+A round copies the words it sends once, joining them into one frame, and
+returns the peer's words as read-only views of the frame it received.
+Over TCP a round is full duplex: a party writes its frame while it reads
+the peer's, so a round completes whatever the socket buffers hold.
 """
 
+import math
 import queue
+import selectors
 import socket
 import struct
 import threading
@@ -97,21 +104,6 @@ def simulate_latency(meter: MeterSummary, env: NetworkEnv) -> float:
     return meter.rounds * 2.0 * env.latency_s + meter.total_bytes * 8.0 / env.bandwidth_bps
 
 
-def encode_frame(tag: int, payload: bytes) -> bytes:
-    return FRAME_MAGIC + struct.pack("<IQ", tag, len(payload)) + payload
-
-
-def _recv_exact(sock, n):
-    chunks = []
-    while n:
-        chunk = sock.recv(min(n, 1 << 20))
-        if not chunk:
-            raise ChannelError("connection closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
 def decode_frame_header(header: bytes):
     if len(header) != 16:
         raise FrameError("short frame header")
@@ -144,28 +136,79 @@ class InProcessEnd:
 
 
 class TcpEnd:
+    """Frames over a socket in non-blocking mode.  ``send_frame`` writes
+    what the socket takes at once; ``recv_frame`` writes the rest while it
+    reads the peer's frame, so two parties that both send a frame larger
+    than the socket buffers hold do not wait on each other."""
+
     def __init__(self, sock: socket.socket):
+        sock.setblocking(False)
         self._sock = sock
+        self._unsent = []  # memoryviews of frame bytes not yet written
 
     def send_frame(self, tag: int, payload: bytes):
-        self._sock.sendall(encode_frame(tag, payload))
+        self._unsent += [memoryview(FRAME_MAGIC + struct.pack("<IQ", tag, len(payload))),
+                         memoryview(payload)]
+        self._write()
 
     def recv_frame(self, timeout: float, max_bytes: int):
-        """Next frame from the socket.  A payload longer than ``max_bytes``
-        (ABORT_REASON_BYTES for an abort frame) raises FrameError before
-        any of it is read."""
-        self._sock.settimeout(timeout)
+        """Next frame from the socket, once this end's own frames are
+        written too; all within ``timeout`` seconds.  A payload longer than
+        ``max_bytes`` (ABORT_REASON_BYTES for an abort frame) raises
+        FrameError before any of it is read."""
+        deadline = time.monotonic() + timeout
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._sock, selectors.EVENT_READ)
+            try:
+                tag, length = decode_frame_header(self._read(16, sel, deadline))
+                limit = ABORT_REASON_BYTES if tag == ABORT_TAG else max_bytes
+                if length > limit:
+                    raise FrameError(f"frame of {length} bytes exceeds the "
+                                     f"{limit} bytes expected")
+                payload = self._read(length, sel, deadline)
+                while self._unsent:
+                    self._wait(sel, deadline, 0)
+            except TimeoutError:
+                raise ProtocolMismatchError(
+                    f"no message within {timeout}s; parties are out of step"
+                ) from None
+        return tag, payload
+
+    def _write(self):
+        """Write unsent bytes until the socket would block."""
         try:
-            tag, length = decode_frame_header(_recv_exact(self._sock, 16))
-            limit = ABORT_REASON_BYTES if tag == ABORT_TAG else max_bytes
-            if length > limit:
-                raise FrameError(f"frame of {length} bytes exceeds the "
-                                 f"{limit} bytes expected")
-            return tag, _recv_exact(self._sock, length)
-        except socket.timeout:
-            raise ProtocolMismatchError(
-                f"no message within {timeout}s; parties are out of step"
-            ) from None
+            while self._unsent:
+                sent = self._sock.send(self._unsent[0])
+                self._unsent[0] = self._unsent[0][sent:]
+                if not self._unsent[0]:
+                    del self._unsent[0]
+        except BlockingIOError:
+            pass
+
+    def _read(self, n, sel, deadline):
+        """``n`` bytes from the socket, in reads of at most 1 MiB."""
+        chunks = []
+        while n:
+            self._wait(sel, deadline, selectors.EVENT_READ)
+            try:
+                chunk = self._sock.recv(min(n, 1 << 20))
+            except BlockingIOError:
+                continue
+            if not chunk:
+                raise ChannelError("connection closed mid-frame")
+            chunks.append(chunk)
+            n -= len(chunk)
+        return b"".join(chunks)
+
+    def _wait(self, sel, deadline, events):
+        """Write what the socket takes, then wait until it is ready for
+        ``events``, or for writing while bytes are unsent."""
+        self._write()
+        events |= selectors.EVENT_WRITE if self._unsent else 0
+        if events:
+            sel.modify(self._sock, events)
+            if not sel.select(max(0.0, deadline - time.monotonic())):
+                raise TimeoutError
 
     def close(self):
         try:
@@ -192,14 +235,14 @@ class Channel:
 
     def exchange(self, label: str, send_arrays, recv_shapes=None):
         """One communication round: send a batch of u64 arrays, receive
-        the peer's batch.  recv_shapes defaults to the sent shapes."""
-        send_arrays = [np.ascontiguousarray(a, dtype=np.uint64) for a in send_arrays]
+        the peer's batch as read-only views of its frame.  recv_shapes
+        defaults to the sent shapes."""
+        send_arrays = [np.ascontiguousarray(a, dtype="<u8") for a in send_arrays]
         if recv_shapes is None:
             recv_shapes = [a.shape for a in send_arrays]
-        counts = [int(np.prod(shape, dtype=np.int64)) if shape else 1
-                  for shape in recv_shapes]
+        counts = [math.prod(shape) for shape in recv_shapes]
         expected = 8 * sum(counts)
-        payload = b"".join(a.astype("<u8").tobytes() for a in send_arrays)
+        payload = b"".join(send_arrays)
         self._tag += 1
         self.end.send_frame(self._tag, payload)
         tag, raw = self.end.recv_frame(self.timeout, expected)
@@ -214,13 +257,8 @@ class Channel:
             raise ProtocolMismatchError(
                 f"payload size mismatch: expected {expected} bytes, got {len(raw)}"
             )
-        flat = np.frombuffer(raw, dtype="<u8")
-        out = []
-        pos = 0
-        for shape, count in zip(recv_shapes, counts):
-            out.append(flat[pos:pos + count].reshape(shape).astype(np.uint64))
-            pos += count
-        return out
+        parts = np.split(np.frombuffer(raw, "<u8"), np.cumsum(counts)[:-1])
+        return [p.reshape(shape) for p, shape in zip(parts, recv_shapes)]
 
     def abort(self, reason: str):
         try:

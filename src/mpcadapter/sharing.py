@@ -311,7 +311,7 @@ def b2a_full(words: np.ndarray, dealer: PartyDealer,
         (RING_BITS,) + (1,) * np.ndim(words))
     planes = (words >> shifts) & np.uint64(1)
     bit_shares = bit_to_arith(planes, dealer.arith_input_pair(planes.shape), channel)
-    return np.sum(bit_shares << shifts, axis=0, dtype=np.uint64)
+    return np.asarray(np.sum(bit_shares << shifts, axis=0, dtype=np.uint64))
 
 
 def ltz(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:

@@ -1,4 +1,5 @@
 import gc
+import math
 import socket
 import struct
 import threading
@@ -14,7 +15,7 @@ from mpcadapter.runtime import (ABORT_REASON_BYTES, ABORT_TAG, ENVS, FRAME_MAGIC
                                 ChannelError, CommMeter, FrameError,
                                 MeterSummary, NetworkEnv,
                                 ProtocolMismatchError, TcpEnd,
-                                decode_frame_header, encode_frame,
+                                decode_frame_header,
                                 in_process_pair, merge_meters, run_two_party,
                                 simulate_latency, tcp_channel)
 
@@ -80,14 +81,14 @@ def test_network_env_validation():
 # framing
 
 def test_frame_roundtrip():
-    frame = encode_frame(7, b"payload")
+    frame = FRAME_MAGIC + struct.pack("<IQ", 7, 7) + b"payload"
     tag, length = decode_frame_header(frame[:16])
     assert tag == 7 and length == 7
     assert frame[16:] == b"payload"
 
 
 def test_frame_bad_magic():
-    frame = b"XXXX" + encode_frame(1, b"")[4:]
+    frame = b"XXXX" + struct.pack("<IQ", 1, 0)
     with pytest.raises(FrameError):
         decode_frame_header(frame[:16])
 
@@ -185,18 +186,29 @@ def _tcp_pair(timeout=10.0, listen_after=0.0):
     return result[0], ch1
 
 
-def _echo(ch0, ch1, payload):
-    out = {}
+def _both(ch0, ch1, proto):
+    """Run ``proto(ch1)`` in a thread and ``proto(ch0)`` here, at once.
+    Returns {party_id: result}; an error on either side is re-raised."""
+    out, errors = {}, []
 
     def run(ch):
-        (got,) = ch.exchange("echo", [payload])
-        out[ch.party_id] = got
+        try:
+            out[ch.party_id] = proto(ch)
+        except Exception as e:  # noqa: BLE001 - re-raised below
+            errors.append(e)
 
     t = threading.Thread(target=run, args=(ch1,))
     t.start()
     run(ch0)
-    t.join()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    if errors:
+        raise errors[0]
     return out
+
+
+def _echo(ch0, ch1, payload):
+    return _both(ch0, ch1, lambda ch: ch.exchange("echo", [payload])[0])
 
 
 def test_tcp_echo_1mb(rng):
@@ -208,6 +220,59 @@ def test_tcp_echo_1mb(rng):
     assert ch0.meter.bytes_sent == payload.nbytes
     ch0.end.close()
     ch1.end.close()
+
+
+_EXCHANGE_SHAPES = {  # shapes party 0 sends, shapes party 1 sends
+    "0-d": ([()], [()]),
+    "empty": ([(0,)], [(0,)]),
+    "empty-3d": ([(2, 0, 3)], [(2, 0, 3)]),
+    "mixed": ([(), (5,), (0,), (2, 3)], [(4,), (2, 0, 3), (3, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("shapes", _EXCHANGE_SHAPES.values(), ids=_EXCHANGE_SHAPES)
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_exchange_contract(transport, shapes, rng):
+    """Each party receives the peer's words in the shapes it asked for, as
+    read-only arrays, and meters 8 bytes per word it sent."""
+    sent = [[rng.integers(0, 1 << 64, size=s, dtype=np.uint64) for s in party]
+            for party in shapes]
+    ch0, ch1 = in_process_pair(5.0) if transport == "in-process" else _tcp_pair()
+    try:
+        out = _both(ch0, ch1, lambda ch: ch.exchange(
+            "t", sent[ch.party_id], shapes[1 - ch.party_id]))
+    finally:
+        ch0.end.close()
+        ch1.end.close()
+    for pid, ch in enumerate((ch0, ch1)):
+        assert [g.shape for g in out[pid]] == [w.shape for w in sent[1 - pid]]
+        for got, want in zip(out[pid], sent[1 - pid]):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0
+        assert ch.meter.bytes_sent == 8 * sum(math.prod(s) for s in shapes[pid])
+
+
+@pytest.mark.parametrize("mib", [(8, 8), (8, 6)], ids=["symmetric", "asymmetric"])
+def test_tcp_round_larger_than_socket_buffers(mib):
+    """Both parties send a frame far larger than 64 KiB socket buffers at
+    once.  The round completes, and the transport leaves no thread behind."""
+    threads = threading.active_count()
+    a, b = socket.socketpair()
+    for sock in (a, b):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 << 10)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 << 10)
+        sock.settimeout(5.0)  # a send that blocks for good fails instead
+    ch0, ch1 = Channel(0, TcpEnd(a), 5.0), Channel(1, TcpEnd(b), 5.0)
+    sent = [np.arange(n << 17, dtype=np.uint64) + pid for pid, n in enumerate(mib)]
+    try:
+        out = _both(ch0, ch1, lambda ch: ch.exchange(
+            "big", [sent[ch.party_id]], [sent[1 - ch.party_id].shape]))
+    finally:
+        ch0.end.close()
+        ch1.end.close()
+    assert np.array_equal(out[0][0], sent[1]) and np.array_equal(out[1][0], sent[0])
+    assert threading.active_count() == threads
 
 
 def test_tcp_connect_retries_until_listening():
@@ -241,7 +306,7 @@ def test_tcp_oversize_frame_rejected_unread(tag):
 def test_tcp_short_frame_is_mismatch_error():
     a, b = socket.socketpair()
     try:
-        a.sendall(encode_frame(1, b"\0" * 8))
+        a.sendall(FRAME_MAGIC + struct.pack("<IQ", 1, 8) + b"\0" * 8)
         ch = Channel(0, TcpEnd(b), timeout=5.0)
         with pytest.raises(ProtocolMismatchError, match="payload size"):
             ch.exchange("t", [np.zeros(2, np.uint64)])

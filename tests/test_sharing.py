@@ -473,6 +473,18 @@ def test_b2a_examples(rng):
         assert m0.rounds == 1
 
 
+def test_b2a_full_0d_share_is_0d_array(rng):
+    """Both parties get a 0-d array for a 0-d share, so summing them wraps
+    mod 2^64 without numpy's scalar-overflow warning."""
+    bs = share_bin(np.uint64(6), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out0, out1, _ = run_protocol(lambda pid, ch, dealer: b2a_full(bs[pid], dealer, ch))
+        assert type(out0) is type(out1) is np.ndarray
+        assert out0.shape == out1.shape == ()
+        assert out0 + out1 == 6
+
+
 def test_a2b_b2a_roundtrip_1000(rng):
     vals = _words(rng, 1000)
     xs = share_arith(vals, rng)
