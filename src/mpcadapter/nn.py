@@ -25,6 +25,7 @@ one share-distribution path for both roles), online (one pipeline per
 input) and result (party 1 returns its logit shares).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +215,14 @@ class PlainContext:
         return np.where(x.view(np.int64) < 0, np.uint64(0), x)
 
 
+@functools.lru_cache
+def _encode_public(value: float) -> np.uint64:
+    """A public constant's word, encoded once per value."""
+    return np.uint64(encode_fixed(value))
+
+
 def _mul_public_real(ctx, x, value: float):
-    return ctx.truncate(x * encode_fixed(value))
+    return ctx.truncate(x * _encode_public(value))
 
 
 def _row_mean(ctx, x):

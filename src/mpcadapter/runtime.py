@@ -114,7 +114,7 @@ def decode_frame_header(header: bytes):
 
 
 class InProcessEnd:
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
+    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue):
         self._inbox = inbox
         self._outbox = outbox
 
@@ -237,9 +237,9 @@ class Channel:
         """One communication round: send a batch of u64 arrays, receive
         the peer's batch as read-only views of its frame.  recv_shapes
         defaults to the sent shapes."""
-        send_arrays = [np.ascontiguousarray(a, dtype="<u8") for a in send_arrays]
         if recv_shapes is None:
-            recv_shapes = [a.shape for a in send_arrays]
+            recv_shapes = [np.shape(a) for a in send_arrays]
+        send_arrays = [np.ascontiguousarray(a, dtype="<u8") for a in send_arrays]
         counts = [math.prod(shape) for shape in recv_shapes]
         expected = 8 * sum(counts)
         payload = b"".join(send_arrays)
@@ -257,8 +257,12 @@ class Channel:
             raise ProtocolMismatchError(
                 f"payload size mismatch: expected {expected} bytes, got {len(raw)}"
             )
-        parts = np.split(np.frombuffer(raw, "<u8"), np.cumsum(counts)[:-1])
-        return [p.reshape(shape) for p, shape in zip(parts, recv_shapes)]
+        words = np.frombuffer(raw, "<u8")
+        parts, start = [], 0
+        for count, shape in zip(counts, recv_shapes):
+            parts.append(words[start:start + count].reshape(shape))
+            start += count
+        return parts
 
     def abort(self, reason: str):
         try:
@@ -268,7 +272,7 @@ class Channel:
 
 
 def in_process_pair(timeout: float = DEFAULT_TIMEOUT):
-    q01, q10 = queue.Queue(), queue.Queue()
+    q01, q10 = queue.SimpleQueue(), queue.SimpleQueue()
     ch0 = Channel(0, InProcessEnd(inbox=q10, outbox=q01), timeout)
     ch1 = Channel(1, InProcessEnd(inbox=q01, outbox=q10), timeout)
     return ch0, ch1

@@ -1,7 +1,9 @@
 """Two-party secret sharing and the protocol suite on top of it.
 
 Both share kinds are plain u64 word arrays: arithmetic shares are
-additive mod 2^64, binary shares XOR-share each bit.  Multiplication
+additive mod 2^64, binary shares XOR-share each bit; every protocol
+returns arrays, 0-d for a 0-d share (numpy turns a ufunc's 0-d result into
+a scalar, whose arithmetic warns on the wrap mod 2^64).  Multiplication
 uses precomputed Beaver triples.  The dealer is not yet a third party:
 each party builds its own view of it from a seed both parties know, so
 either party can regenerate every triple and unmask the peer's openings.
@@ -58,7 +60,9 @@ class InputPairShare:
 
 
 def _rand_words(rng, shape):
-    return rng.integers(0, 1 << RING_BITS, size=shape, dtype=np.uint64)
+    """Full-range u64 words: the PCG64 stream's raw outputs, the same words
+    ``rng.integers(0, 2**64, dtype=np.uint64)`` draws, at less cost per call."""
+    return rng.bit_generator.random_raw(shape)
 
 
 # A share ring as (mask, add): masking x with a gives the word a party opens,
@@ -84,7 +88,7 @@ class TripleDealer:
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
     def _skip(self, *shapes):
-        # A full-range uint64 draw takes one 64-bit output per word.
+        # Each word is one raw 64-bit output of the stream.
         self._rng.bit_generator.advance(sum(math.prod(s) for s in shapes))
 
     def _triple(self, shape_a, shape_b, shape_c, product, ring):
@@ -176,7 +180,7 @@ def open_values(share: np.ndarray, channel: Channel,
     if channel.forbid_plain_open:
         raise AuditError("plain opening is forbidden on this channel")
     (peer,) = channel.exchange(label, [share])
-    return share + peer
+    return np.asarray(share + peer)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ def _beaver_many(pairs, triples, channel: Channel, label, product, ring):
         e = add(msgs[2 * i], opened[2 * i])
         d = add(msgs[2 * i + 1], opened[2 * i + 1])
         b = add(t.b, d) if channel.party_id == 0 else t.b
-        out.append(add(add(t.c, product(e, b)), product(t.a, d)))
+        out.append(np.asarray(add(add(t.c, product(e, b)), product(t.a, d))))
     return out
 
 
@@ -221,7 +225,7 @@ def _known_product(own, pair: InputPairShare, channel: Channel, label,
     masked = mask(own, pair.known)
     (peer,) = channel.exchange(label, [masked])
     cross = product(own, peer) if channel.party_id == 0 else product(peer, pair.known)
-    return add(pair.c, cross), peer
+    return np.asarray(add(pair.c, cross)), peer
 
 
 def mul_beaver_many(pairs, triples, channel: Channel,
@@ -249,10 +253,10 @@ def truncate_share(x: np.ndarray, party_id: int) -> np.ndarray:
     """
     f = np.uint64(DEFAULT_CONFIG.frac_bits)
     if party_id == 0:
-        return x >> f
+        return np.asarray(x >> f)
     # np.negative wraps mod 2^64 silently; on a 0-d share `0 - x` would be
     # numpy scalar arithmetic, which warns on that wrap.
-    return np.negative(np.negative(x) >> f)
+    return np.asarray(np.negative(np.negative(x) >> f))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,7 @@ def a2b(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:
         return and_beaver_many(op_pairs, triples, channel, label="a2b-adder")
 
     carries = kernels.kogge_stone_carries(p, g, and_fn)
-    return p ^ (carries << np.uint64(1))
+    return np.asarray(p ^ (carries << np.uint64(1)))
 
 
 def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
@@ -301,7 +305,7 @@ def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
     if np.any(bits > 1):
         raise ValueError("bit_to_arith expects 0/1-valued shares")
     prod, _ = _known_product(bits, pair, channel, "bit-open", np.multiply, ARITH)
-    return bits - np.uint64(2) * prod
+    return np.asarray(np.subtract(bits, np.uint64(2) * prod))
 
 
 def b2a_full(words: np.ndarray, dealer: PartyDealer,

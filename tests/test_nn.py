@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from protocol_helpers import run_protocol
 
+from mpcadapter.nn import _mul_public_real
 from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            RSQRT_CUBIC_WINDOW, AdapterConfig,
                            ConfigMismatchError, PartyContext, PlainContext,
@@ -17,9 +18,9 @@ from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            private_inference, random_features, random_weights,
                            relu_private, rsqrt_poly, weight_names,
                            weight_shape, weights_to_float)
-from mpcadapter.ring import decode_fixed, encode_fixed
-from mpcadapter.runtime import run_two_party
-from mpcadapter.sharing import share_arith
+from mpcadapter.ring import RingOverflowError, decode_fixed, encode_fixed
+from mpcadapter.runtime import in_process_pair, run_two_party
+from mpcadapter.sharing import party_dealer, share_arith
 
 ULP = 2.0 ** -16
 GRID = [(1, 4), (1, 8), (2, 8), (4, 8), (2, 12), (4, 16)]
@@ -160,6 +161,40 @@ def test_matmul_shape_mismatch(rng):
     b = encode_fixed(rng.standard_normal((2, 3)))
     with pytest.raises(ValueError):
         _plain_matmul(a, b)
+
+
+# Every public constant the adapter wiring multiplies by: the rsqrt
+# coefficients, 1/r and 1/d_model of the row means (desk and paper shapes),
+# and the scaler.
+_PUBLIC_CONSTANTS = [*RSQRT_CUBIC, *RSQRT_AFFINE, 1 / 8, 1 / 64, 1 / 32, 1 / 768,
+                     AdapterConfig().scaler]
+
+
+def _public_contexts():
+    ch0, ch1 = in_process_pair(1.0)
+    return {"plain": PlainContext(), "party0": PartyContext(ch0, party_dealer(0, 0)),
+            "party1": PartyContext(ch1, party_dealer(0, 1))}
+
+
+@pytest.mark.parametrize("backend", ["plain", "party0", "party1"])
+def test_mul_public_real_equals_fresh_encoding(backend, rng):
+    """The cached encoding of a public constant gives the words of a fresh
+    ``encode_fixed``, on every call, on every backend."""
+    ctx = _public_contexts()[backend]
+    x = rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64)
+    for value in _PUBLIC_CONSTANTS * 2:
+        want = ctx.truncate(x * encode_fixed(value))
+        got = _mul_public_real(ctx, x, value)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("backend", ["plain", "party0", "party1"])
+def test_mul_public_real_overflow_raises_every_call(backend):
+    ctx = _public_contexts()[backend]
+    x = np.ones(4, np.uint64)
+    for value in (2.0 ** 46, -(2.0 ** 46), 2.0 ** 46, 1e30):
+        with pytest.raises(RingOverflowError):
+            _mul_public_real(ctx, x, value)
 
 
 # ---------------------------------------------------------------------------

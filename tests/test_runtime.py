@@ -253,6 +253,27 @@ def test_exchange_contract(transport, shapes, rng):
         assert ch.meter.bytes_sent == 8 * sum(math.prod(s) for s in shapes[pid])
 
 
+@pytest.mark.parametrize("make", [lambda w: np.array(w, np.uint64), np.uint64],
+                         ids=["0-d array", "scalar"])
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_exchange_default_shape_keeps_0d(transport, make):
+    """Without recv_shapes, a 0-d array or numpy scalar comes back as a
+    read-only 0-d array holding the peer's word."""
+    words = [3, (1 << 64) - 4]
+    ch0, ch1 = in_process_pair(5.0) if transport == "in-process" else _tcp_pair()
+    try:
+        out = _both(ch0, ch1, lambda ch: ch.exchange("t", [make(words[ch.party_id])]))
+    finally:
+        ch0.end.close()
+        ch1.end.close()
+    for pid in (0, 1):
+        (got,) = out[pid]
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.dtype == np.uint64 and int(got) == words[1 - pid]
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+
+
 @pytest.mark.parametrize("mib", [(8, 8), (8, 6)], ids=["symmetric", "asymmetric"])
 def test_tcp_round_larger_than_socket_buffers(mib):
     """Both parties send a frame far larger than 64 KiB socket buffers at

@@ -13,6 +13,7 @@ from mpcadapter.sharing import (AuditError, TripleDealer, TripleShare, a2b,
                                 and_beaver_many, b2a_full, bit_to_arith, ltz,
                                 matmul_beaver_many, mul_beaver_many, open_values,
                                 share_arith, share_bin, truncate_share)
+from mpcadapter.sharing import _rand_words
 
 ULP = 2.0 ** -16
 
@@ -145,6 +146,20 @@ def test_dealer_stream_golden(pid):
                 h.update(repr((f, v.shape)).encode())
                 h.update(np.ascontiguousarray(v, dtype=np.uint64).tobytes())
     assert h.hexdigest() == STREAM_SHA256[pid]
+
+
+def test_rand_words_equal_full_range_integers():
+    """Dealer words are the raw PCG64 outputs that a full-range uint64
+    ``integers`` draw returns, and both paths leave the stream in the same
+    state."""
+    raw = np.random.Generator(np.random.PCG64(77))
+    twin = np.random.Generator(np.random.PCG64(77))
+    for shape in [(), (0,), (5,), (3, 4), (2, 8, 8)]:
+        got = _rand_words(raw, shape)
+        want = twin.integers(0, 2**64, size=shape, dtype=np.uint64)
+        assert got.dtype == np.uint64 and got.shape == want.shape == shape
+        assert np.array_equal(got, want)
+    assert raw.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("pid", [0, 1])
@@ -483,6 +498,44 @@ def test_b2a_full_0d_share_is_0d_array(rng):
         assert type(out0) is type(out1) is np.ndarray
         assert out0.shape == out1.shape == ()
         assert out0 + out1 == 6
+
+
+_X, _Y = (1 << 64) - 3 * 2**32, 7 * 2**16 + 5  # -3.0 at scale 2^2f, 7.0001 at 2^f
+
+# Each protocol on 0-d shares ``s`` of _X and _Y (arithmetic x, y; binary
+# xb, yb): (call, how the two parties' results combine, the combined word).
+_ZERO_D_PROTOCOLS = {
+    "open": (lambda pid, ch, d, s: open_values(s["x"], ch), lambda a, b: a, _X),
+    "mul": (lambda pid, ch, d, s: mul_beaver_many([(s["x"], s["y"])], [d.arith_triple(())], ch)[0],
+            lambda a, b: a + b, (_X * _Y) % (1 << 64)),
+    "and": (lambda pid, ch, d, s: and_beaver_many([(s["xb"], s["yb"])], [d.bin_triple(())], ch)[0],
+            lambda a, b: a ^ b, _X & _Y),
+    "truncate": (lambda pid, ch, d, s: truncate_share(s["x"], pid),
+                 lambda a, b: a + b, (1 << 64) - 3 * 2**16),
+    "a2b": (lambda pid, ch, d, s: a2b(s["x"], d, ch), lambda a, b: a ^ b, _X),
+    "bit_to_arith": (lambda pid, ch, d, s:
+                     bit_to_arith(np.uint64(1 - pid), d.arith_input_pair(()), ch),
+                     lambda a, b: a + b, 1),
+    "ltz": (lambda pid, ch, d, s: ltz(s["x"], d, ch), lambda a, b: a + b, 1),
+}
+
+
+@pytest.mark.parametrize("name", _ZERO_D_PROTOCOLS)
+def test_protocols_return_0d_arrays_for_0d_shares(name, rng):
+    """Every protocol gives both parties a 0-d array for 0-d shares (one
+    party's a numpy scalar), so combining them with plain operators wraps
+    mod 2^64 without numpy's scalar-overflow warning."""
+    call, combine, want = _ZERO_D_PROTOCOLS[name]
+    shares = {"x": share_arith(np.uint64(_X), rng), "y": share_arith(np.uint64(_Y), rng),
+              "xb": share_bin(np.uint64(_X), rng), "yb": share_bin(np.uint64(_Y), rng)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out0, out1, _ = run_protocol(lambda pid, ch, dealer: call(
+            pid, ch, dealer, {k: v[pid] for k, v in shares.items()}))
+        assert type(out0) is type(out1) is np.ndarray
+        assert out0.shape == out1.shape == ()
+        got = int(combine(out0, out1))
+    assert abs(got - want) <= 1 if name == "truncate" else got == want
 
 
 def test_a2b_b2a_roundtrip_1000(rng):
