@@ -21,8 +21,10 @@ ring words; the float64 twin is written independently (with the same
 inverse-sqrt polynomial).  Both serve as correctness oracles.
 
 The two-party protocol runs in three phases: setup (config handshake, then
-one share-distribution path for both roles), online (one pipeline per
-input) and result (party 1 returns its logit shares).
+one round in which party 0 sends party 1 its feature shares; party 0 draws
+its weight shares from the seed both parties know, so no weight word crosses
+the wire), online (one pipeline per input) and result (party 1 returns its
+logit shares).
 """
 
 import functools
@@ -32,9 +34,9 @@ import numpy as np
 
 from . import kernels
 from .ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed, truncate
-from .runtime import Channel, run_two_party
+from .runtime import Channel, PayloadSizeError, run_two_party
 from .sharing import (PartyDealer, ltz, matmul_beaver_many, mul_beaver_many,
-                      party_dealer, share_arith, truncate_share)
+                      party_dealer, random_share, share_arith, truncate_share)
 
 # Inverse-sqrt polynomial coefficients (low -> high degree), minimax in
 # relative error.  The round budget caps the norm at a cubic (3-round
@@ -49,6 +51,11 @@ RSQRT_CUBIC = (2.2187611396873352, -1.9202746582323935,
 RSQRT_CUBIC_WINDOW = (1.0 / 3.0, 3.0)
 RSQRT_AFFINE = (1.5068068414235278, -0.39063467956847275)
 RSQRT_AFFINE_WINDOW = (0.4083, 2.4490)
+
+# The setup protocol's revision, the first word of the handshake digest.
+# Revision 1: party 0 draws its weight shares from the seed instead of
+# receiving them.  The handshake before it had no revision word.
+PROTOCOL_REVISION = 1
 
 
 def rsqrt_poly(budget: int):
@@ -88,7 +95,8 @@ class AdapterConfig:
         return 2 * self.r
 
     def digest_words(self, extra=()) -> np.ndarray:
-        fields = (self.h, self.r, self.s, int(round(self.scaler * DEFAULT_CONFIG.scale)),
+        fields = (PROTOCOL_REVISION, self.h, self.r, self.s,
+                  int(round(self.scaler * DEFAULT_CONFIG.scale)),
                   self.d_model, self.n_tokens, self.n_classes) + tuple(extra)
         return np.array(fields, dtype=np.uint64)
 
@@ -392,15 +400,21 @@ def derived_rng(seed: int, tag: str) -> np.random.Generator:
 
 def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, features):
     """Setup phase: a handshake round, which checks both parties run the
-    same configuration and tells party 1 how many inputs follow, then one
-    distribution round in which each party splits its own tensors (party 0
-    its features, party 1 its weights in ``weight_names`` order), keeps
-    ``shares[party_id]`` and sends ``shares[1 - party_id]``.  ``features``
-    and ``weights`` hold ``FixedTensor``s; the shares are plain words."""
+    same protocol revision and configuration and tells party 1 how many
+    inputs follow, then one distribution round.  In it party 0 splits its
+    features with ``derived_rng(seed, "features")`` and sends party 1 its
+    shares; party 1 sends nothing.  Party 1 splits each weight, in
+    ``weight_names`` order, with ``derived_rng(seed, "weights")`` and keeps
+    ``w - s0``; party 0 draws the same ``s0`` words from the same stream.
+    ``features`` and ``weights`` hold ``FixedTensor``s; the shares are plain
+    words."""
     channel, pid = ctx.channel, ctx.channel.party_id
     digest = config.digest_words(
         extra=(DEFAULT_CONFIG.frac_bits, len(features) if pid == 0 else 0))
-    (peer_digest,) = channel.exchange("setup", [digest])
+    try:
+        (peer_digest,) = channel.exchange("setup", [digest])
+    except PayloadSizeError as e:
+        raise ConfigMismatchError(f"peer runs another protocol revision: {e}") from None
     if not np.array_equal(digest[:-1], peer_digest[:-1]):
         raise ConfigMismatchError(
             f"peer runs a different configuration: {peer_digest.tolist()} "
@@ -410,16 +424,17 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
         raise ConfigMismatchError(f"peer declares {n_inputs} inputs, more than a "
                                   f"{MAX_INPUT_FRAME_BYTES}-byte setup frame holds")
 
-    names = weight_names(config)
-    own, tag, peer_shapes = (
-        (features, "features", [weight_shape(config, n) for n in names]) if pid == 0 else
-        ([weights[n] for n in names], "weights",
-         [(config.n_tokens, config.d_model)] * n_inputs))
-    rng = derived_rng(seed, tag)
-    shares = [share_arith(t.data, rng) for t in own]
-    got = channel.exchange("setup", [s[1 - pid] for s in shares], peer_shapes)
-    kept = [s[pid] for s in shares]
-    inputs, wlist = (kept, got) if pid == 0 else (got, kept)
+    names, wrng = weight_names(config), derived_rng(seed, "weights")
+    if pid == 0:
+        frng = derived_rng(seed, "features")
+        shares = [share_arith(t.data, frng) for t in features]
+        channel.exchange("setup", [s1 for _, s1 in shares], [])
+        inputs = [s0 for s0, _ in shares]
+        wlist = [random_share(wrng, weight_shape(config, n)) for n in names]
+    else:
+        inputs = channel.exchange("setup", [],
+                                  [(config.n_tokens, config.d_model)] * n_inputs)
+        wlist = [share_arith(weights[n].data, wrng)[1] for n in names]
     return inputs, dict(zip(names, wlist))
 
 
@@ -457,6 +472,11 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
         raise ValueError("party 0 needs the feature tensors")
     if party_id == 1 and weights is None:
         raise ValueError("party 1 needs the weights")
+    # Party 0 draws its weight shares at these shapes, so a weight of
+    # another shape would put the two parties on different words.
+    if party_id == 1 and any(weights[n].shape != weight_shape(config, n)
+                             for n in weight_names(config)):
+        raise ValueError("weights do not match the adapter config's shapes")
 
     def protocol(channel: Channel):
         dealer_seed = int(derived_rng(seed, "dealer").integers(1 << 62))

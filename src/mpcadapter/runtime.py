@@ -38,6 +38,10 @@ class ProtocolMismatchError(ChannelError):
     """Raised when a receive times out (likely desynchronized parties)."""
 
 
+class PayloadSizeError(ProtocolMismatchError):
+    """Raised when a round's payload is not the size its receiver expects."""
+
+
 class FrameError(ChannelError):
     pass
 
@@ -254,7 +258,7 @@ class Channel:
             )
         self.meter.record(label, len(payload))
         if len(raw) != expected:
-            raise ProtocolMismatchError(
+            raise PayloadSizeError(
                 f"payload size mismatch: expected {expected} bytes, got {len(raw)}"
             )
         words = np.frombuffer(raw, "<u8")

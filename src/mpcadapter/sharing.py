@@ -26,6 +26,7 @@ Round contracts (per call, enforced by tests):
   truncate_share            0   (local probabilistic truncation)
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,15 @@ def _rand_words(rng, shape):
     return rng.bit_generator.random_raw(shape)
 
 
+def _draw(rng, *shapes):
+    """Consecutive words of the stream, one array per shape, split from one
+    draw: the words and stream state of one ``_rand_words`` call per shape."""
+    sizes = [math.prod(s) for s in shapes]
+    words = _rand_words(rng, sum(sizes))
+    ends = itertools.accumulate(sizes)
+    return [words[end - n:end].reshape(s) for s, n, end in zip(shapes, sizes, ends)]
+
+
 # A share ring as (mask, add): masking x with a gives the word a party opens,
 # and add recombines shares.  The product is passed separately.
 ARITH = (np.subtract, np.add)
@@ -78,9 +88,10 @@ class TripleDealer:
     for a triple (party 1 gets a - a0, b - b0, a*b - c0), or a, b, c0 for
     an input pair (party 0 gets a, c0; party 1 gets b, a*b - c0), with XOR
     and AND in the binary ring.  Party 0's view skips the words it does not
-    need and never computes the product.  Each method checks shapes before
-    drawing and returns a pair indexed by party id, ``None`` in the other
-    slot; ``party_dealer`` wraps the view for protocol code.
+    need and never computes the product.  Words a view takes back to back
+    come from one draw.  Each method checks shapes before drawing and
+    returns a pair indexed by party id, ``None`` in the other slot;
+    ``party_dealer`` wraps the view for protocol code.
     """
 
     def __init__(self, seed: int, party_id: int):
@@ -95,21 +106,19 @@ class TripleDealer:
         rng = self._rng
         if self.party_id == 0:
             self._skip(shape_a, shape_b)
-            a0, b0, c0 = (_rand_words(rng, s) for s in (shape_a, shape_b, shape_c))
+            a0, b0, c0 = _draw(rng, shape_a, shape_b, shape_c)
             return TripleShare(a0, b0, c0), None
         mask = ring[0]
-        a, b = _rand_words(rng, shape_a), _rand_words(rng, shape_b)
-        c = product(a, b)
-        a0, b0, c0 = (_rand_words(rng, s) for s in (shape_a, shape_b, shape_c))
-        return None, TripleShare(mask(a, a0), mask(b, b0), mask(c, c0))
+        a, b, a0, b0, c0 = _draw(rng, shape_a, shape_b, shape_a, shape_b, shape_c)
+        return None, TripleShare(mask(a, a0), mask(b, b0), mask(product(a, b), c0))
 
     def _input_pair(self, shape, product, ring):
         rng = self._rng
-        a = _rand_words(rng, shape)
         if self.party_id == 0:
+            a = _rand_words(rng, shape)
             self._skip(shape)
             return InputPairShare(a, _rand_words(rng, shape)), None
-        b, c0 = _rand_words(rng, shape), _rand_words(rng, shape)
+        a, b, c0 = _draw(rng, shape, shape, shape)
         return None, InputPairShare(b, ring[0](product(a, b), c0))
 
     def arith_triple(self, shape_x, shape_y=None):
@@ -162,16 +171,17 @@ def party_dealer(seed: int, party_id: int) -> PartyDealer:
 # ---------------------------------------------------------------------------
 # sharing / reconstruction
 
+def random_share(rng, shape) -> np.ndarray:
+    """Party 0's share of a tensor of ``shape`` that ``share_arith`` splits
+    with ``rng``: the stream's next words.  A party that knows the stream's
+    seed draws these words itself instead of receiving them."""
+    return _rand_words(rng, shape)
+
+
 def share_arith(x: np.ndarray, rng) -> tuple:
     """Additively share u64 words: party 0's words, then party 1's."""
-    s0 = _rand_words(rng, np.shape(x))
+    s0 = random_share(rng, np.shape(x))
     return s0, np.asarray(x, np.uint64) - s0
-
-
-def share_bin(x: np.ndarray, rng) -> tuple:
-    """XOR-share u64 words: party 0's words, then party 1's."""
-    s0 = _rand_words(rng, np.shape(x))
-    return s0, np.asarray(x, np.uint64) ^ s0
 
 
 def open_values(share: np.ndarray, channel: Channel,

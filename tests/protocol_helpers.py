@@ -1,7 +1,15 @@
 """Two-party test harness shared by the protocol tests."""
 
+import numpy as np
+
 from mpcadapter.runtime import run_two_party
-from mpcadapter.sharing import party_dealer
+from mpcadapter.sharing import party_dealer, random_share
+
+
+def share_bin(x, rng) -> tuple:
+    """XOR-share u64 words: party 0's words, then party 1's."""
+    s0 = random_share(rng, np.shape(x))
+    return s0, np.asarray(x, np.uint64) ^ s0
 
 
 def run_protocol(fn, seed=0, timeout=30.0):

@@ -25,9 +25,9 @@ from mpcadapter.ring import encode_fixed
 from mpcadapter.runtime import LAN, WAN, MeterSummary, NetworkEnv, \
     simulate_latency, tcp_channel
 from mpcadapter.sharing import (a2b, and_beaver_many, b2a_full, ltz,
-                                mul_beaver_many, share_arith, share_bin)
+                                mul_beaver_many, share_arith)
 
-from protocol_helpers import run_protocol
+from protocol_helpers import run_protocol, share_bin
 
 DESK_GRID = [(1, 4), (1, 8), (2, 8), (4, 8), (2, 12), (4, 16)]
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from protocol_helpers import run_protocol
 
-from mpcadapter.nn import _mul_public_real
-from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
-                           RSQRT_CUBIC_WINDOW, AdapterConfig,
+from mpcadapter.nn import _mul_public_real, _setup
+from mpcadapter.nn import (PROTOCOL_REVISION, RSQRT_AFFINE, RSQRT_AFFINE_WINDOW,
+                           RSQRT_CUBIC, RSQRT_CUBIC_WINDOW, AdapterConfig,
                            ConfigMismatchError, PartyContext, PlainContext,
                            adapter_forward_float,
                            adapter_forward_private, derived_rng,
@@ -18,7 +18,8 @@ from mpcadapter.nn import (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, RSQRT_CUBIC,
                            private_inference, random_features, random_weights,
                            relu_private, rsqrt_poly, weight_names,
                            weight_shape, weights_to_float)
-from mpcadapter.ring import RingOverflowError, decode_fixed, encode_fixed
+from mpcadapter.ring import (DEFAULT_CONFIG, FixedTensor, RingOverflowError,
+                            decode_fixed, encode_fixed)
 from mpcadapter.runtime import in_process_pair, run_two_party
 from mpcadapter.sharing import party_dealer, share_arith
 
@@ -437,45 +438,58 @@ def test_inference_deterministic():
     assert m1[0].bytes_sent == m2[0].bytes_sent
 
 
-# sha256 of the private logits, both parties' per-label meters and the
-# fixed-point twin's logit words of the run below.  A reordered random draw,
-# a changed word on the wire or a changed twin word moves it, so it changes
-# only with a deliberate change to the protocol or the fixed-point format.
-GOLDEN_TRANSCRIPT = "fff064f4731684466757d5c45d51bb07e89f0038c5ff39cf76330e9248daffa2"
-
-
-def test_inference_golden_transcript():
-    config = AdapterConfig(h=2, r=8, s=2)
+def _transcript(config, n_inputs, skip=()):
+    """Run the golden private inference at seed 7; return its result and the
+    sha256 of the private logits, both parties' per-label meters (but the
+    labels in ``skip``) and the fixed-point twin's logit words."""
     weights = random_weights(config, derived_rng(7, "weights"))
     irng = derived_rng(7, "inputs")
-    feats = [random_features(config, irng) for _ in range(2)]
+    feats = [random_features(config, irng) for _ in range(n_inputs)]
     result, meters = private_inference(config, weights, feats, seed=7)
-    assert result["pipeline_rounds"] == [55, 55]
     digest = hashlib.sha256()
     for logits in result["logits"]:
         digest.update(np.asarray(logits, dtype=np.float64).tobytes())
     for m in meters:
-        digest.update(repr(sorted((k, tuple(v)) for k, v in m.breakdown.items())).encode())
+        digest.update(repr(sorted((k, tuple(v)) for k, v in m.breakdown.items()
+                                  if k not in skip)).encode())
     for f in feats:
         digest.update(pipeline_forward_plain(f, weights, config).data.tobytes())
-    assert digest.hexdigest() == GOLDEN_TRANSCRIPT
+    return result, digest.hexdigest()
 
 
-PAPER_GOLDEN_TRANSCRIPT = "47fa30ec7dbc670e7770a0339d19b06b55bd2cbc3d9d189f0904c0b3224b7acf"
+GOLDEN_CONFIG = AdapterConfig(h=2, r=8, s=2)
+PAPER_GOLDEN_CONFIG = AdapterConfig(h=8, r=64, s=1, d_model=768, n_tokens=128)
+
+# A reordered random draw, a changed word on the wire or a changed twin word
+# moves a transcript digest, so it changes only with a deliberate change to
+# the protocol or the fixed-point format.  The pipeline digests leave out the
+# setup entry: they pin every online word, and change only with the pipeline.
+GOLDEN_TRANSCRIPT = "6c15811dec72c9a4b28957bbed9b1886082d9bd335645a6cf941b744c0e3b194"
+PAPER_GOLDEN_TRANSCRIPT = "6286a205dc03b16ac7badfb27343ca42248c8963eed739681aee0a33fa723819"
+PIPELINE_GOLDEN = "86735f04713dd596c4231ce1b131c272c04d6dd09760cd9028d72b92809b404b"
+PAPER_PIPELINE_GOLDEN = "f14b4d97ab6ff995f2a2280b50e2c81b7e8b5e0e6a6d82e79ca530e53e97ac49"
+
+
+def test_inference_golden_transcript():
+    result, digest = _transcript(GOLDEN_CONFIG, 2)
+    assert result["pipeline_rounds"] == [55, 55]
+    assert digest == GOLDEN_TRANSCRIPT
 
 
 def test_inference_golden_transcript_paper_shape():
     """Paper-width ring words: one input at (h=8, r=64, s=1, d=768, n=128)."""
-    config = AdapterConfig(h=8, r=64, s=1, d_model=768, n_tokens=128)
-    weights = random_weights(config, derived_rng(7, "weights"))
-    feats = [random_features(config, derived_rng(7, "inputs"))]
-    result, meters = private_inference(config, weights, feats, seed=7)
+    result, digest = _transcript(PAPER_GOLDEN_CONFIG, 1)
     assert result["pipeline_rounds"] == [29]
-    digest = hashlib.sha256(np.asarray(result["logits"][0], dtype=np.float64).tobytes())
-    for m in meters:
-        digest.update(repr(sorted((k, tuple(v)) for k, v in m.breakdown.items())).encode())
-    digest.update(pipeline_forward_plain(feats[0], weights, config).data.tobytes())
-    assert digest.hexdigest() == PAPER_GOLDEN_TRANSCRIPT
+    assert digest == PAPER_GOLDEN_TRANSCRIPT
+
+
+def test_inference_pipeline_golden():
+    """Logits, online meters and twin words of the golden run."""
+    assert _transcript(GOLDEN_CONFIG, 2, skip={"setup"})[1] == PIPELINE_GOLDEN
+
+
+def test_inference_pipeline_golden_paper_shape():
+    assert _transcript(PAPER_GOLDEN_CONFIG, 1, skip={"setup"})[1] == PAPER_PIPELINE_GOLDEN
 
 
 def test_inference_without_inputs():
@@ -487,6 +501,67 @@ def test_inference_without_inputs():
     for m in meters:
         assert m.rounds == 3
         assert {k: r for k, (r, _) in m.breakdown.items()} == {"setup": 2, "result": 1}
+
+
+def test_party1_sends_only_its_digest_in_setup():
+    """Weight shares never cross the wire: party 1's setup is the handshake
+    digest and an empty distribution frame."""
+    config = AdapterConfig(h=2, r=8, s=2)
+    weights = random_weights(config, derived_rng(7, "weights"))
+    feats = [random_features(config, derived_rng(7, "inputs"))]
+    _, (m0, m1) = private_inference(config, weights, feats, seed=7)
+    digest_bytes = config.digest_words(extra=(0, 0)).nbytes
+    assert m1.breakdown["setup"] == [2, digest_bytes]
+    assert m0.breakdown["setup"] == [2, digest_bytes + feats[0].data.nbytes]
+
+
+def test_party0_draws_the_weight_shares_party1_splits_off():
+    config = AdapterConfig(h=2, r=8, s=2)
+    weights = random_weights(config, derived_rng(7, "weights"))
+    feats = [random_features(config, derived_rng(7, "inputs"))]
+
+    def party(pid):
+        def proto(channel):
+            ctx = PartyContext(channel, party_dealer(0, pid))
+            if pid == 0:
+                return _setup(ctx, config, 7, None, feats)
+            return _setup(ctx, config, 7, weights, [])
+        return proto
+
+    (_, w0), (_, w1), _ = run_two_party(party(0), party(1))
+    rng = derived_rng(7, "weights")
+    for name in weight_names(config):
+        s0, s1 = share_arith(weights[name].data, rng)
+        assert np.array_equal(w0[name], s0)
+        assert np.array_equal(w1[name], s1)
+        assert np.array_equal(w0[name] + w1[name], weights[name].data)
+
+
+@pytest.mark.parametrize("peer_digest,message", [
+    (lambda d: np.concatenate([[PROTOCOL_REVISION + 1], d[1:]]).astype(np.uint64),
+     "different configuration"),
+    (lambda d: d[1:], "another protocol revision"),
+], ids=["next-revision", "no-revision-word"])
+def test_peer_at_another_revision_is_config_mismatch(peer_digest, message):
+    """A peer at another protocol revision fails at the handshake, also one
+    from before the revision word, whose digest is a word shorter."""
+    config = AdapterConfig(h=1, r=8)
+    feats = [random_features(config, derived_rng(0, "inputs"))]
+
+    def peer(channel):
+        digest = config.digest_words(extra=(DEFAULT_CONFIG.frac_bits, 0))
+        channel.exchange("setup", [peer_digest(digest)])
+
+    with pytest.raises(ConfigMismatchError, match=message):
+        run_two_party(inference_party(0, config, 0, features=feats), peer, timeout=5)
+
+
+def test_weights_of_other_shapes_rejected():
+    config = AdapterConfig(h=1, r=8)
+    weights = random_weights(config, derived_rng(0, "weights"))
+    weights["adapter0.down"] = FixedTensor.from_real(np.zeros((8, 32)))
+    with pytest.raises(ValueError, match="shapes"):
+        inference_party(1, config, 0, weights=weights)
 
 
 def test_config_mismatch_detected():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from protocol_helpers import run_protocol
+from protocol_helpers import run_protocol, share_bin
 
 from mpcadapter import kernels
 from mpcadapter.nn import PartyContext, PlainContext, linear_private
@@ -12,7 +12,7 @@ from mpcadapter.ring import DEFAULT_CONFIG, decode_fixed, encode_fixed
 from mpcadapter.sharing import (AuditError, TripleDealer, TripleShare, a2b,
                                 and_beaver_many, b2a_full, bit_to_arith, ltz,
                                 matmul_beaver_many, mul_beaver_many, open_values,
-                                share_arith, share_bin, truncate_share)
+                                share_arith, truncate_share)
 from mpcadapter.sharing import _rand_words
 
 ULP = 2.0 ** -16
