@@ -130,6 +130,14 @@ def _run_config(ctx) -> RunConfig:
         sys.exit(EXIT_USAGE)
 
 
+def _host_port(ctx, param, value) -> tuple:
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdecimal() or not 0 < int(port) < 1 << 16:
+        raise click.BadParameter(f"expected host:port with a port in 1..65535, "
+                                 f"got {value!r}")
+    return host, int(port)
+
+
 def _load_features(path, config: AdapterConfig) -> list:
     arr = tensorio.load_tensor_file(path, dtype="f32")
     if arr.ndim == 2:
@@ -156,7 +164,8 @@ def _load_weights(path, config: AdapterConfig) -> dict:
 @main.command()
 @click.option("--role", type=click.Choice(["0", "1"]), default=None,
               help="TCP party role; omit for in-process mode.")
-@click.option("--addr", default="127.0.0.1:9631", help="TCP host:port.")
+@click.option("--addr", default="127.0.0.1:9631", callback=_host_port,
+              help="TCP host:port.")
 @click.pass_context
 def infer(ctx, role, addr):
     """Run private inference over the configured weights and features."""
@@ -190,8 +199,7 @@ def infer(ctx, role, addr):
             result, meters = private_inference(config, weights, features, rc.seed)
             meter, total = meters[0], merge_meters(*meters)
         else:
-            host, port = addr.rsplit(":", 1)
-            channel = tcp_channel(int(role), host, int(port))
+            channel = tcp_channel(int(role), *addr)
             try:
                 result = inference_party(int(role), config, rc.seed, weights,
                                          features)(channel)
@@ -237,7 +245,8 @@ def infer(ctx, role, addr):
 
 
 @main.command()
-@click.option("--inputs", "n_inputs", type=int, default=100, show_default=True)
+@click.option("--inputs", "n_inputs", type=click.IntRange(min=1), default=100,
+              show_default=True)
 @click.option("--tolerance", type=float, default=1e-2, show_default=True)
 @click.option("--agreement", type=float, default=0.98, show_default=True)
 @click.pass_context
@@ -322,6 +331,8 @@ def profile(ctx, grid, out_path):
     try:
         hs, rs, ss = ([int(v) for v in part.split(",")]
                       for part in grid.split(":"))
+        if min(hs + rs + ss) < 1:
+            raise ValueError
     except ValueError:
         click.echo(f"usage error: bad --grid {grid!r}", err=True)
         sys.exit(EXIT_USAGE)
@@ -347,10 +358,11 @@ def profile(ctx, grid, out_path):
 @click.pass_context
 def fit(ctx, samples_path, env_label):
     """Fit the affine cost model to profiled samples."""
-    if not Path(samples_path).exists():
-        click.echo(f"io error: samples file not found: {samples_path}", err=True)
+    try:
+        samples = costmodel.load_samples_csv(samples_path)
+    except (OSError, costmodel.CsvFormatError) as e:
+        click.echo(f"io error: {e}", err=True)
         sys.exit(EXIT_IO)
-    samples = costmodel.load_samples_csv(samples_path)
     try:
         coeffs, r2_comm, r2_comp = costmodel.fit_cost_model(samples, env_label)
     except costmodel.UnderDeterminedError as e:
@@ -399,11 +411,12 @@ def search(ctx, utility_target, latency_target, patience, heads, ranks,
     if evaluator_cmd:
         evaluator = nas.CommandEvaluator(evaluator_cmd.split())
     else:
-        table = rc.paths.get("utility_table", nas.DEMO_TABLE)
-        if not Path(table).exists():
-            click.echo(f"io error: utility table not found: {table}", err=True)
+        try:
+            evaluator = nas.TableEvaluator.from_csv(
+                rc.paths.get("utility_table", nas.DEMO_TABLE))
+        except (OSError, costmodel.CsvFormatError) as e:
+            click.echo(f"io error: {e}", err=True)
             sys.exit(EXIT_IO)
-        evaluator = nas.TableEvaluator.from_csv(table)
 
     latency_fn = nas.latency_model_fn(costmodel.PUBLISHED_WAN)
     try:

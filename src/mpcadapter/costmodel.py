@@ -169,14 +169,27 @@ def save_samples_csv(path, samples):
                              p.rounds, p.bytes])
 
 
-def load_samples_csv(path):
-    samples = []
+class CsvFormatError(ValueError):
+    """A CSV data file with a missing column or a malformed value."""
+
+
+def read_csv(path, parse_row) -> list:
+    """``parse_row`` of each row, as a dict keyed by the header, of the CSV
+    file at ``path``.  A missing column or a value that ``parse_row`` refuses
+    raises ``CsvFormatError`` naming the line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            samples.append(ProfileSample(
-                h=int(row["h"]), r=int(row["r"]), s=int(row["s"]),
-                comm_time_s=float(row["comm_time_s"]),
-                comp_time_s=float(row["comp_time_s"]),
-                rounds=int(row["rounds"]), bytes=int(row["bytes"])))
-    return samples
+        try:
+            return [parse_row(row) for row in reader]
+        except KeyError as e:
+            raise CsvFormatError(f"{path}: no column {e}") from None
+        except (TypeError, ValueError, csv.Error) as e:
+            raise CsvFormatError(f"{path} line {reader.line_num}: {e}") from None
+
+
+def load_samples_csv(path):
+    return read_csv(path, lambda row: ProfileSample(
+        h=int(row["h"]), r=int(row["r"]), s=int(row["s"]),
+        comm_time_s=float(row["comm_time_s"]),
+        comp_time_s=float(row["comp_time_s"]),
+        rounds=int(row["rounds"]), bytes=int(row["bytes"])))

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .costmodel import read_csv
+
 DEMO_TABLE = Path(__file__).parent / "data" / "demo_utility.csv"
 LEARNING_RATE = 0.1
 BASELINE_DECAY = 0.9  # EMA weight of the old reward baseline
@@ -33,6 +35,9 @@ class SearchSpace:
     def __post_init__(self):
         if not self.heads or not self.ranks or self.s_max < 1:
             raise ValueError("search space must be nonempty")
+        if min(self.heads + self.ranks) < 1 or not self.valid_pairs():
+            raise ValueError("heads and ranks must be >= 1, and some rank "
+                             "divisible by some head count")
 
     @property
     def h_init(self) -> int:
@@ -145,13 +150,10 @@ class TableEvaluator:
 
     @classmethod
     def from_csv(cls, path) -> "TableEvaluator":
-        import csv
-        table = {}
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                table[(int(row["h"]), int(row["r"]), int(row["s"]))] = \
-                    float(row["utility"])
-        return cls(table)
+        """Columns h, r, s and utility; a malformed file raises
+        ``costmodel.CsvFormatError``."""
+        return cls(read_csv(path, lambda row: (
+            (int(row["h"]), int(row["r"]), int(row["s"])), float(row["utility"]))))
 
     def __call__(self, h, r, s) -> float:
         try:

@@ -21,10 +21,10 @@ ring words; the float64 twin is written independently (with the same
 inverse-sqrt polynomial).  Both serve as correctness oracles.
 
 The two-party protocol runs in three phases: setup (config handshake, then
-one round in which party 0 sends party 1 its feature shares; party 0 draws
-its weight shares from the seed both parties know, so no weight word crosses
-the wire), online (one pipeline per input) and result (party 1 returns its
-logit shares).
+one round in which party 0 sends party 1 its feature shares; the weights
+enter as party 1's own share, against zeros on party 0, so no weight word
+crosses the wire), online (one pipeline per input) and result (party 1
+returns its logit shares).
 """
 
 import functools
@@ -36,7 +36,7 @@ from . import kernels
 from .ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed, truncate
 from .runtime import Channel, PayloadSizeError, run_two_party
 from .sharing import (PartyDealer, ltz, matmul_beaver_many, mul_beaver_many,
-                      party_dealer, random_share, share_arith, truncate_share)
+                      party_dealer, share_arith, truncate_share)
 
 # Inverse-sqrt polynomial coefficients (low -> high degree), minimax in
 # relative error.  The round budget caps the norm at a cubic (3-round
@@ -53,9 +53,9 @@ RSQRT_AFFINE = (1.5068068414235278, -0.39063467956847275)
 RSQRT_AFFINE_WINDOW = (0.4083, 2.4490)
 
 # The setup protocol's revision, the first word of the handshake digest.
-# Revision 1: party 0 draws its weight shares from the seed instead of
-# receiving them.  The handshake before it had no revision word.
-PROTOCOL_REVISION = 1
+# Revision 2: the weights are party 1's own share, against zeros on party 0;
+# a revision-1 peer would reconstruct w - s0, so the handshake refuses it.
+PROTOCOL_REVISION = 2
 
 
 def rsqrt_poly(budget: int):
@@ -403,11 +403,11 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
     same protocol revision and configuration and tells party 1 how many
     inputs follow, then one distribution round.  In it party 0 splits its
     features with ``derived_rng(seed, "features")`` and sends party 1 its
-    shares; party 1 sends nothing.  Party 1 splits each weight, in
-    ``weight_names`` order, with ``derived_rng(seed, "weights")`` and keeps
-    ``w - s0``; party 0 draws the same ``s0`` words from the same stream.
-    ``features`` and ``weights`` hold ``FixedTensor``s; the shares are plain
-    words."""
+    shares; party 1 sends nothing.  Each weight enters as party 1's own
+    share, its words, against zeros of the same shape on party 0: every use
+    of a weight is a Beaver product, which opens only the masked word, or a
+    local addition feeding one.  ``features`` and ``weights`` hold
+    ``FixedTensor``s; the shares are plain words."""
     channel, pid = ctx.channel, ctx.channel.party_id
     digest = config.digest_words(
         extra=(DEFAULT_CONFIG.frac_bits, len(features) if pid == 0 else 0))
@@ -424,17 +424,17 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
         raise ConfigMismatchError(f"peer declares {n_inputs} inputs, more than a "
                                   f"{MAX_INPUT_FRAME_BYTES}-byte setup frame holds")
 
-    names, wrng = weight_names(config), derived_rng(seed, "weights")
+    names = weight_names(config)
     if pid == 0:
         frng = derived_rng(seed, "features")
         shares = [share_arith(t.data, frng) for t in features]
         channel.exchange("setup", [s1 for _, s1 in shares], [])
         inputs = [s0 for s0, _ in shares]
-        wlist = [random_share(wrng, weight_shape(config, n)) for n in names]
+        wlist = [np.zeros(weight_shape(config, n), np.uint64) for n in names]
     else:
         inputs = channel.exchange("setup", [],
                                   [(config.n_tokens, config.d_model)] * n_inputs)
-        wlist = [share_arith(weights[n].data, wrng)[1] for n in names]
+        wlist = [weights[n].data for n in names]
     return inputs, dict(zip(names, wlist))
 
 
@@ -472,8 +472,8 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
         raise ValueError("party 0 needs the feature tensors")
     if party_id == 1 and weights is None:
         raise ValueError("party 1 needs the weights")
-    # Party 0 draws its weight shares at these shapes, so a weight of
-    # another shape would put the two parties on different words.
+    # Outside input: party 0 holds zeros at these shapes, so a weight of
+    # another shape would put the parties' shares and dealer draws out of step.
     if party_id == 1 and any(weights[n].shape != weight_shape(config, n)
                              for n in weight_names(config)):
         raise ValueError("weights do not match the adapter config's shapes")

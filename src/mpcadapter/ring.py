@@ -80,12 +80,6 @@ class FixedTensor:
     def to_real(self) -> np.ndarray:
         return decode_fixed(self.data)
 
-    def __add__(self, other: "FixedTensor") -> "FixedTensor":
-        return FixedTensor(self.data + other.data)
-
-    def __sub__(self, other: "FixedTensor") -> "FixedTensor":
-        return FixedTensor(self.data - other.data)
-
 
 def truncate(v: np.ndarray) -> np.ndarray:
     """Signed right shift by f: rescales a 2^2f product back to 2^f."""

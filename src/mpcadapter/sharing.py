@@ -171,16 +171,9 @@ def party_dealer(seed: int, party_id: int) -> PartyDealer:
 # ---------------------------------------------------------------------------
 # sharing / reconstruction
 
-def random_share(rng, shape) -> np.ndarray:
-    """Party 0's share of a tensor of ``shape`` that ``share_arith`` splits
-    with ``rng``: the stream's next words.  A party that knows the stream's
-    seed draws these words itself instead of receiving them."""
-    return _rand_words(rng, shape)
-
-
 def share_arith(x: np.ndarray, rng) -> tuple:
     """Additively share u64 words: party 0's words, then party 1's."""
-    s0 = random_share(rng, np.shape(x))
+    s0 = _rand_words(rng, np.shape(x))
     return s0, np.asarray(x, np.uint64) - s0
 
 

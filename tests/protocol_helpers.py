@@ -3,12 +3,13 @@
 import numpy as np
 
 from mpcadapter.runtime import run_two_party
-from mpcadapter.sharing import party_dealer, random_share
+from mpcadapter.sharing import party_dealer, share_arith
 
 
 def share_bin(x, rng) -> tuple:
-    """XOR-share u64 words: party 0's words, then party 1's."""
-    s0 = random_share(rng, np.shape(x))
+    """XOR-share u64 words: party 0's words, the ones ``share_arith`` draws,
+    then party 1's."""
+    s0, _ = share_arith(x, rng)
     return s0, np.asarray(x, np.uint64) ^ s0
 
 

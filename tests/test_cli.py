@@ -307,3 +307,43 @@ def test_search_no_feasible_config(runner):
     res = runner.invoke(main, ["search", "--latency-target", "0.01"])
     assert res.exit_code == 1
     assert "no feasible config" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["infer", "--role", "1", "--addr", "foo"],
+    ["infer", "--role", "1", "--addr", "127.0.0.1:abc"],
+    ["infer", "--role", "1", "--addr", "127.0.0.1:99999"],
+    ["verify", "--inputs", "0"],
+    ["verify", "--inputs", "-1"],
+    ["profile", "--grid", "0:8:1", "--out", "samples.csv"],
+    ["search", "--heads", "0"],
+    ["search", "--heads", "3", "--ranks", "4"],
+], ids=["addr-no-port", "addr-port-not-a-number", "addr-port-too-large",
+        "verify-no-inputs", "verify-negative-inputs", "profile-zero-heads",
+        "search-zero-heads", "search-no-valid-pair"])
+def test_bad_option_is_usage_error(runner, tmp_path, monkeypatch, args):
+    """A bad option value exits 2 before any work."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = _write_demo_files(tmp_path)
+    res = runner.invoke(main, ["--config", str(cfg_path)] + args)
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("command,header,row", [
+    ("fit", "h,r,comm_time_s,comp_time_s,rounds,bytes", "1,8,0.1,0.1,29,1"),
+    ("fit", "h,r,s,comm_time_s,comp_time_s,rounds,bytes", "1,8,1,fast,0.1,29,1"),
+    ("search", "h,r,s,utility", "1,4,1,high"),
+], ids=["samples-missing-column", "samples-not-a-number", "utility-not-a-number"])
+def test_malformed_data_file_is_io_error(runner, tmp_path, command, header, row):
+    path = tmp_path / "data.csv"
+    path.write_text(f"{header}\n{row}\n")
+    if command == "fit":
+        args = ["fit", "--samples", str(path)]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"paths": {"utility_table": str(path)}}))
+        args = ["--config", str(cfg_path), "search", "--exhaustive"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3, res.output
+    assert "io error:" in res.output and str(path) in res.output

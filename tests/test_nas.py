@@ -31,6 +31,9 @@ def test_space_validation():
         SearchSpace(heads=(), ranks=(4,), s_max=1)
     with pytest.raises(ValueError):
         SearchSpace(heads=(1,), ranks=(4,), s_max=0)
+    for heads, ranks in [((0,), (4,)), ((1,), (0,)), ((3,), (4,))]:
+        with pytest.raises(ValueError, match="divisible"):
+            SearchSpace(heads=heads, ranks=ranks, s_max=1)
 
 
 def test_targets_validation():

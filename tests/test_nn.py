@@ -515,9 +515,12 @@ def test_party1_sends_only_its_digest_in_setup():
     assert m0.breakdown["setup"] == [2, digest_bytes + feats[0].data.nbytes]
 
 
-def test_party0_draws_the_weight_shares_party1_splits_off():
+def test_weights_enter_as_party1s_own_share():
+    """Party 1's weight shares are its weights' own words and party 0's are
+    zeros of each weight's shape; a run leaves the weights unchanged."""
     config = AdapterConfig(h=2, r=8, s=2)
     weights = random_weights(config, derived_rng(7, "weights"))
+    before = {n: t.data.copy() for n, t in weights.items()}
     feats = [random_features(config, derived_rng(7, "inputs"))]
 
     def party(pid):
@@ -529,19 +532,23 @@ def test_party0_draws_the_weight_shares_party1_splits_off():
         return proto
 
     (_, w0), (_, w1), _ = run_two_party(party(0), party(1))
-    rng = derived_rng(7, "weights")
+    assert list(w0) == list(w1) == weight_names(config)
     for name in weight_names(config):
-        s0, s1 = share_arith(weights[name].data, rng)
-        assert np.array_equal(w0[name], s0)
-        assert np.array_equal(w1[name], s1)
-        assert np.array_equal(w0[name] + w1[name], weights[name].data)
+        zeros = np.zeros(weight_shape(config, name), np.uint64)
+        assert w0[name].dtype == np.uint64 and np.array_equal(w0[name], zeros)
+        assert np.array_equal(w1[name], weights[name].data)
+    private_inference(config, weights, feats, seed=7)
+    for name, words in before.items():
+        assert np.array_equal(weights[name].data, words)
 
 
 @pytest.mark.parametrize("peer_digest,message", [
     (lambda d: np.concatenate([[PROTOCOL_REVISION + 1], d[1:]]).astype(np.uint64),
      "different configuration"),
+    (lambda d: np.concatenate([[PROTOCOL_REVISION - 1], d[1:]]).astype(np.uint64),
+     "different configuration"),
     (lambda d: d[1:], "another protocol revision"),
-], ids=["next-revision", "no-revision-word"])
+], ids=["next-revision", "prev-revision", "no-revision-word"])
 def test_peer_at_another_revision_is_config_mismatch(peer_digest, message):
     """A peer at another protocol revision fails at the handshake, also one
     from before the revision word, whose digest is a word shorter."""

@@ -65,14 +65,6 @@ def test_tensor_roundtrip(rng):
     assert t.shape == (4, 5)
 
 
-def test_tensor_add_sub(rng):
-    a = rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3))
-    ta, tb = FixedTensor.from_real(a), FixedTensor.from_real(b)
-    assert np.allclose((ta + tb).to_real(), a + b, atol=ULP)
-    assert np.allclose((ta - tb).to_real(), a - b, atol=ULP)
-
-
 def test_truncate_signed():
     raw = encode_fixed(3.0) * np.uint64(DEFAULT_CONFIG.scale)  # 3.0 at scale 2^2f
     assert decode_fixed(truncate(raw)) == 3.0
