@@ -346,6 +346,10 @@ def profile(ctx, grid, out_path):
                 configs.append(AdapterConfig(
                     h=h, r=r, s=s, scaler=base.scaler, d_model=base.d_model,
                     n_tokens=base.n_tokens, n_classes=base.n_classes))
+    if not configs:
+        click.echo(f"usage error: --grid {grid!r} has no rank divisible by a head count",
+                   err=True)
+        sys.exit(EXIT_USAGE)
     samples = costmodel.profile_pipeline(configs, rc.env, seed=rc.seed)
     costmodel.save_samples_csv(out_path, samples)
     doc = {"samples": len(samples), "out": str(out_path)}
@@ -390,7 +394,7 @@ def fit(ctx, samples_path, env_label):
 @click.option("--brute-force", is_flag=True, help="Run the exhaustive oracle.")
 @click.option("--evaluator-cmd", default=None,
               help="External utility command (receives --h --r --s).")
-@click.option("--max-samples", type=int, default=None)
+@click.option("--max-samples", type=click.IntRange(min=1), default=None)
 @click.pass_context
 def search(ctx, utility_target, latency_target, patience, heads, ranks,
            s_max, exhaustive, brute_force, evaluator_cmd, max_samples):

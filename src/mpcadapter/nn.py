@@ -16,9 +16,10 @@ which is exactly 26 rounds per adapter (9 linear + 2 matmul + 6 norm +
 one classifier round, for 26 s + 3 total.
 
 Attention is comparison-free: no Softmax, division, or sign test anywhere
-on that path.  The fixed-point twin runs the same wiring over plaintext
-ring words; the float64 twin is written independently (with the same
-inverse-sqrt polynomial).  Both serve as correctness oracles.
+on that path.  The wiring is written once and runs over three backends:
+secret shares, the fixed-point twin (plaintext ring words) and the float64
+twin (real values).  Both twins serve as correctness oracles; the tests
+check the wiring itself against an independent float64 reference.
 
 The two-party protocol runs in three phases: setup (config handshake, then
 one round in which party 0 sends party 1 its feature shares; the weights
@@ -161,26 +162,36 @@ def weights_to_float(weights: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# operators over two backends
+# operators over three backends
 #
 # The operators and the adapter/pipeline wiring below are written once and
-# run over either backend passed as ``ctx``: ``PartyContext`` (one party's
-# secret shares; every round, triple and byte comes from it) or
-# ``PlainContext`` (plaintext ring words, the fixed-point twin).  Both take
-# and return plain u64 word arrays, so the wiring adds, reshapes and slices
-# them directly.  A backend supplies truncate, mul_many, matmul and relu;
-# the wiring decides which multiplies share a round, so the round ledger is
-# the same for both.
+# run over any backend passed as ``ctx``: ``PartyContext`` (one party's
+# secret shares; every round, triple and byte comes from it),
+# ``PlainContext`` (plaintext ring words, the fixed-point twin) or
+# ``FloatContext`` (float64 values, the float twin).  Each takes and returns
+# plain arrays of its own number type, so the wiring adds, reshapes and
+# slices them directly.  A backend supplies public, truncate, mul_many,
+# matmul and relu, and numbers enter the wiring only through them; the
+# wiring decides which multiplies share a round, so the round ledger is the
+# same for every backend.
+
+@functools.lru_cache
+def _encode_public(value: float) -> np.uint64:
+    """A public constant's word, encoded once per value."""
+    return np.uint64(encode_fixed(value))
+
 
 @dataclass
 class PartyContext:
     """Secret-share backend: one party's channel and dealer view.
 
     ``mul_many`` and ``matmul`` cost one batched Beaver round each and
-    return raw (scale 2^2f) products; ``truncate`` is local.
+    return raw (scale 2^2f) products; ``truncate`` is local.  A public
+    constant is its fixed-point word, which multiplies either share.
     """
     channel: Channel
     dealer: PartyDealer
+    public = staticmethod(_encode_public)
 
     def truncate(self, x: np.ndarray) -> np.ndarray:
         return truncate_share(x, self.channel.party_id)
@@ -209,6 +220,7 @@ class PlainContext:
     so the private result differs from the twin only by the 1-ulp errors
     (and rare failures) of local share truncation.  Labels are ignored.
     """
+    public = staticmethod(_encode_public)
 
     def truncate(self, x: np.ndarray) -> np.ndarray:
         return truncate(x)
@@ -223,34 +235,44 @@ class PlainContext:
         return np.where(x.view(np.int64) < 0, np.uint64(0), x)
 
 
-@functools.lru_cache
-def _encode_public(value: float) -> np.uint64:
-    """A public constant's word, encoded once per value."""
-    return np.uint64(encode_fixed(value))
+class FloatContext(PlainContext):
+    """float64 backend: the float twin, the same wiring over real values.
 
+    A public constant is the real itself and a product needs no rescale, so
+    truncation is the identity; ``mul_many`` is ``PlainContext``'s.
+    """
 
-def _mul_public_real(ctx, x, value: float):
-    return ctx.truncate(x * _encode_public(value))
+    def public(self, value: float) -> float:
+        return value
+
+    def truncate(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def matmul(self, x: np.ndarray, w: np.ndarray, label: str) -> np.ndarray:
+        return np.matmul(x, w)
+
+    def relu(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, x)
 
 
 def _row_mean(ctx, x):
-    total = np.sum(x, axis=-1, keepdims=True, dtype=np.uint64)
-    return _mul_public_real(ctx, total, 1.0 / x.shape[-1])
+    total = np.sum(x, axis=-1, keepdims=True)
+    return ctx.truncate(total * ctx.public(1.0 / x.shape[-1]))
 
 
 def linear_private(ctx, x, w):
-    """x @ w on either backend: one round, output truncated back to scale
+    """x @ w on any backend: one round, output truncated back to scale
     2^f.  Shapes follow ``kernels.matmul_shape``."""
     return ctx.truncate(ctx.matmul(x, w, "linear"))
 
 
 def relu_private(ctx, x):
-    """max(0, x) on either backend, exact in the ring; 9 rounds on shares."""
+    """max(0, x) on any backend, exact in the ring; 9 rounds on shares."""
     return ctx.relu(x)
 
 
 def layernorm_private(ctx, x, gain, bias, round_budget: int = 3):
-    """LayerNorm over the last axis in ``round_budget`` rounds, on either
+    """LayerNorm over the last axis in ``round_budget`` rounds, on any
     backend.
 
     The inverse square root of the variance is a public-coefficient
@@ -277,7 +299,7 @@ def layernorm_private(ctx, x, gain, bias, round_budget: int = 3):
 
     out = bias
     for c, t in zip(coeffs, terms):
-        out = out + _mul_public_real(ctx, t, c)
+        out = out + ctx.truncate(t * ctx.public(c))
     return out
 
 
@@ -293,7 +315,7 @@ def _merge_heads(x):
 
 def linatten_private(ctx, q, k, v, wl):
     """Linear attention (W_L @ (Q K^T)) V on [heads, N, head_dim] tensors,
-    on either backend.
+    on any backend.
 
     Two matmul rounds plus the W_L linear round; all heads are batched,
     and there is no comparison, Softmax, or division.
@@ -308,7 +330,7 @@ def linatten_private(ctx, q, k, v, wl):
 
 def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,
                             prefix: str = "adapter0."):
-    """One adapter block on either backend; exactly 26 rounds on shares
+    """One adapter block on any backend; exactly 26 rounds on shares
     for any (h, r)."""
     g = lambda k: w[prefix + k]
     u = linear_private(ctx, x, g("down"))
@@ -322,11 +344,11 @@ def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,
     ln2 = layernorm_private(ctx, a, g("ln2.gain"), g("ln2.bias"), round_budget=3)
     m = relu_private(ctx, linear_private(ctx, ln2, g("fc1")))
     z = a + linear_private(ctx, m, g("fc2"))
-    return x + _mul_public_real(ctx, linear_private(ctx, z, g("up")), config.scaler)
+    return x + ctx.truncate(linear_private(ctx, z, g("up")) * ctx.public(config.scaler))
 
 
 def pipeline_forward_private(ctx, x, w: dict, config: AdapterConfig):
-    """Full pipeline on either backend: s adapters, 2-round norm on [CLS],
+    """Full pipeline on any backend: s adapters, 2-round norm on [CLS],
     classifier.  26 s + 3 rounds on shares; returns the logit vector."""
     for i in range(config.s):
         x = adapter_forward_private(ctx, x, w, config, prefix=f"adapter{i}.")
@@ -336,7 +358,7 @@ def pipeline_forward_private(ctx, x, w: dict, config: AdapterConfig):
 
 
 # ---------------------------------------------------------------------------
-# plaintext twins (correctness oracles)
+# twins (correctness oracles)
 
 def pipeline_forward_plain(x: FixedTensor, w: dict,
                            config: AdapterConfig) -> FixedTensor:
@@ -345,40 +367,9 @@ def pipeline_forward_plain(x: FixedTensor, w: dict,
     return FixedTensor(pipeline_forward_private(PlainContext(), x.data, words, config))
 
 
-# The float64 twin is written out independently of the wiring above, so it
-# checks that wiring rather than repeating it.
-
-def layernorm_float(x, gain, bias, round_budget=3):
-    coeffs = rsqrt_poly(round_budget)
-    xc = x - x.mean(axis=-1, keepdims=True)
-    v = (xc * xc).mean(axis=-1, keepdims=True)
-    y = sum(c * v**i for i, c in enumerate(coeffs))
-    return gain * xc * y + bias
-
-
-def adapter_forward_float(x, w, config: AdapterConfig, prefix="adapter0."):
-    g = lambda k: w[prefix + k]
-    n, r, h, dh = config.n_tokens, config.r, config.h, config.head_dim
-    u = x @ g("down")
-    ln1 = layernorm_float(u, g("ln1.gain"), g("ln1.bias"), 3)
-    split = lambda t: t.reshape(n, h, dh).transpose(1, 0, 2)
-    q, k, v = split(ln1 @ g("wq")), split(ln1 @ g("wk")), split(ln1 @ g("wv"))
-    scores = q @ k.transpose(0, 2, 1)
-    att = (g("wl") @ scores) @ v
-    merged = att.transpose(1, 0, 2).reshape(n, r)
-    a = u + merged @ g("attn_out")
-    ln2 = layernorm_float(a, g("ln2.gain"), g("ln2.bias"), 3)
-    m = np.maximum(0.0, ln2 @ g("fc1"))
-    z = a + m @ g("fc2")
-    return x + config.scaler * (z @ g("up"))
-
-
-def pipeline_forward_float(x, w, config: AdapterConfig):
-    for i in range(config.s):
-        x = adapter_forward_float(x, w, config, prefix=f"adapter{i}.")
-    cls = x[0:1, :]
-    normed = layernorm_float(cls, w["final.gain"], w["final.bias"], 2)
-    return (normed @ w["classifier"]).reshape(-1)
+def pipeline_forward_float(x: np.ndarray, w: dict, config: AdapterConfig) -> np.ndarray:
+    """The float64 twin of ``pipeline_forward_private``, on real values."""
+    return pipeline_forward_private(FloatContext(), x, w, config)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +433,10 @@ def _online(ctx: PartyContext, inputs: list, wshares: dict, config: AdapterConfi
     """Online phase: one pipeline per input; only masked Beaver openings
     may cross the wire.  Returns (logit shares, rounds per input)."""
     meter, logits, rounds = ctx.channel.meter, [], []
-    ctx.channel.forbid_plain_open = True
     for x in inputs:
         snap = meter.snapshot()
         logits.append(pipeline_forward_private(ctx, x, wshares, config))
         rounds.append(meter.since(snap)[0])
-    ctx.channel.forbid_plain_open = False
     return logits, rounds
 
 

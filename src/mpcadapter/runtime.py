@@ -222,19 +222,13 @@ class TcpEnd:
 
 
 class Channel:
-    """One party's endpoint.  Owned exclusively by that party.
-
-    ``forbid_plain_open`` is the OWC audit flag: while set, open_values
-    refuses to reveal anything (Beaver openings bypass it because the
-    opened values are masked).
-    """
+    """One party's endpoint.  Owned exclusively by that party."""
 
     def __init__(self, party_id: int, end, timeout: float = DEFAULT_TIMEOUT):
         self.party_id = party_id
         self.end = end
         self.meter = CommMeter()
         self.timeout = timeout
-        self.forbid_plain_open = False
         self._tag = 0
 
     def exchange(self, label: str, send_arrays, recv_shapes=None):

@@ -37,10 +37,6 @@ from .ring import DEFAULT_CONFIG, RING_BITS
 from .runtime import Channel
 
 
-class AuditError(RuntimeError):
-    """Plain (unmasked) opening attempted while the channel forbids it."""
-
-
 @dataclass
 class TripleShare:
     """One party's share of a Beaver triple (a, b, c = a*b or a AND b)."""
@@ -169,21 +165,12 @@ def party_dealer(seed: int, party_id: int) -> PartyDealer:
 
 
 # ---------------------------------------------------------------------------
-# sharing / reconstruction
+# sharing
 
 def share_arith(x: np.ndarray, rng) -> tuple:
     """Additively share u64 words: party 0's words, then party 1's."""
     s0 = _rand_words(rng, np.shape(x))
     return s0, np.asarray(x, np.uint64) - s0
-
-
-def open_values(share: np.ndarray, channel: Channel,
-                label: str = "open") -> np.ndarray:
-    """Interactive reconstruction: exchange shares, both sides learn x."""
-    if channel.forbid_plain_open:
-        raise AuditError("plain opening is forbidden on this channel")
-    (peer,) = channel.exchange(label, [share])
-    return np.asarray(share + peer)
 
 
 # ---------------------------------------------------------------------------

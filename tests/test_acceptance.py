@@ -19,14 +19,15 @@ from mpcadapter.nas import (ExhaustiveController, SearchSpace, SearchTargets,
                             brute_force_search, demo_evaluator,
                             latency_model_fn, nas_search)
 from mpcadapter.nn import (AdapterConfig, derived_rng, inference_party,
-                           pipeline_forward_float, private_inference,
-                           random_features, random_weights, weights_to_float)
+                           private_inference, random_features, random_weights,
+                           weights_to_float)
 from mpcadapter.ring import encode_fixed
 from mpcadapter.runtime import LAN, WAN, MeterSummary, NetworkEnv, \
     simulate_latency, tcp_channel
 from mpcadapter.sharing import (a2b, and_beaver_many, b2a_full, ltz,
                                 mul_beaver_many, share_arith)
 
+import reference
 from protocol_helpers import run_protocol, share_bin
 
 DESK_GRID = [(1, 4), (1, 8), (2, 8), (4, 8), (2, 12), (4, 16)]
@@ -53,7 +54,7 @@ def test_criterion_1_mpc_correctness(report):
     wf = weights_to_float(weights)
     max_err, agree = 0.0, 0
     for feat, logits in zip(features, result["logits"]):
-        ref = pipeline_forward_float(feat.to_real(), wf, config)
+        ref = reference.pipeline_forward_float(feat.to_real(), wf, config)
         max_err = max(max_err, float(np.max(np.abs(np.asarray(logits) - ref))))
         agree += int(np.argmax(logits) == np.argmax(ref))
     elapsed = time.perf_counter() - t0

@@ -318,9 +318,13 @@ def test_search_no_feasible_config(runner):
     ["profile", "--grid", "0:8:1", "--out", "samples.csv"],
     ["search", "--heads", "0"],
     ["search", "--heads", "3", "--ranks", "4"],
+    ["profile", "--grid", "3:4:1", "--out", "samples.csv"],
+    ["search", "--max-samples", "0"],
+    ["search", "--max-samples", "-3"],
 ], ids=["addr-no-port", "addr-port-not-a-number", "addr-port-too-large",
         "verify-no-inputs", "verify-negative-inputs", "profile-zero-heads",
-        "search-zero-heads", "search-no-valid-pair"])
+        "search-zero-heads", "search-no-valid-pair", "profile-no-valid-pair",
+        "search-no-samples", "search-negative-samples"])
 def test_bad_option_is_usage_error(runner, tmp_path, monkeypatch, args):
     """A bad option value exits 2 before any work."""
     monkeypatch.chdir(tmp_path)

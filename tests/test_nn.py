@@ -2,17 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from protocol_helpers import run_protocol
 
-from mpcadapter.nn import _mul_public_real, _setup
+from mpcadapter.nn import _setup
 from mpcadapter.nn import (PROTOCOL_REVISION, RSQRT_AFFINE, RSQRT_AFFINE_WINDOW,
                            RSQRT_CUBIC, RSQRT_CUBIC_WINDOW, AdapterConfig,
                            ConfigMismatchError, PartyContext, PlainContext,
-                           adapter_forward_float,
                            adapter_forward_private, derived_rng,
-                           inference_party, layernorm_float, layernorm_private,
+                           inference_party, layernorm_private,
                            linatten_private, linear_private,
                            pipeline_forward_float, pipeline_forward_plain,
                            private_inference, random_features, random_weights,
@@ -179,23 +179,22 @@ def _public_contexts():
 
 @pytest.mark.parametrize("backend", ["plain", "party0", "party1"])
 def test_mul_public_real_equals_fresh_encoding(backend, rng):
-    """The cached encoding of a public constant gives the words of a fresh
-    ``encode_fixed``, on every call, on every backend."""
+    """A ring backend's cached encoding of a public constant gives the words
+    of a fresh ``encode_fixed``, on every call."""
     ctx = _public_contexts()[backend]
     x = rng.integers(0, 1 << 64, size=(3, 5), dtype=np.uint64)
     for value in _PUBLIC_CONSTANTS * 2:
         want = ctx.truncate(x * encode_fixed(value))
-        got = _mul_public_real(ctx, x, value)
+        got = ctx.truncate(x * ctx.public(value))
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("backend", ["plain", "party0", "party1"])
 def test_mul_public_real_overflow_raises_every_call(backend):
     ctx = _public_contexts()[backend]
-    x = np.ones(4, np.uint64)
     for value in (2.0 ** 46, -(2.0 ** 46), 2.0 ** 46, 1e30):
         with pytest.raises(RingOverflowError):
-            _mul_public_real(ctx, x, value)
+            ctx.public(value)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def test_layernorm_matches_float_twin(rng, budget, rounds):
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
-    want = layernorm_float(decode_fixed(x), decode_fixed(gain), decode_fixed(bias), budget)
+    want = reference.layernorm_float(decode_fixed(x), decode_fixed(gain), decode_fixed(bias), budget)
     assert np.max(np.abs(got - want)) <= 1e-3
     assert m0.rounds == rounds
 
@@ -372,7 +371,7 @@ def test_adapter_matches_oracles(rng):
     feat, weights, got, _ = _run_adapter(config, rng)
     words = {k: v.data for k, v in weights.items()}
     plain = decode_fixed(adapter_forward_private(PlainContext(), feat.data, words, config))
-    ref = adapter_forward_float(feat.to_real(), weights_to_float(weights), config)
+    ref = reference.adapter_forward_float(feat.to_real(), weights_to_float(weights), config)
     assert np.max(np.abs(got - plain)) <= 1e-3
     assert np.max(np.abs(got - ref)) <= 1e-3
 
@@ -388,8 +387,25 @@ def test_plain_twin_vs_float_twin(rng):
     weights = random_weights(config, derived_rng(3, "weights"))
     feat = random_features(config, derived_rng(3, "inputs"))
     plain = pipeline_forward_plain(feat, weights, config).to_real()
-    ref = pipeline_forward_float(feat.to_real(), weights_to_float(weights), config)
+    ref = reference.pipeline_forward_float(feat.to_real(), weights_to_float(weights), config)
     assert np.max(np.abs(plain - ref)) <= 2.0 ** -10
+
+
+@pytest.mark.parametrize("config", [
+    AdapterConfig(h=2, r=8, s=2),
+    AdapterConfig(h=8, r=64, s=4, d_model=768, n_tokens=128),
+], ids=["desk", "paper"])
+def test_float_twin_is_the_wiring_over_reals(config):
+    """``FloatContext`` runs the one wiring as the float64 twin, and agrees
+    with the independently written reference to float rounding."""
+    for seed in (1, 2):
+        wf = weights_to_float(random_weights(config, derived_rng(seed, "weights")))
+        irng = derived_rng(seed, "inputs")
+        for _ in range(2):
+            x = random_features(config, irng).to_real()
+            got = pipeline_forward_float(x, wf, config)
+            assert got.dtype == np.float64 and got.shape == (config.n_classes,)
+            assert np.max(np.abs(got - reference.pipeline_forward_float(x, wf, config))) <= 1e-12
 
 
 @pytest.mark.parametrize("s,expected", [(1, 29), (2, 55), (3, 81)])

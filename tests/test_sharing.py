@@ -9,10 +9,9 @@ from protocol_helpers import run_protocol, share_bin
 from mpcadapter import kernels
 from mpcadapter.nn import PartyContext, PlainContext, linear_private
 from mpcadapter.ring import DEFAULT_CONFIG, decode_fixed, encode_fixed
-from mpcadapter.sharing import (AuditError, TripleDealer, TripleShare, a2b,
-                                and_beaver_many, b2a_full, bit_to_arith, ltz,
-                                matmul_beaver_many, mul_beaver_many, open_values,
-                                share_arith, truncate_share)
+from mpcadapter.sharing import (TripleDealer, TripleShare, a2b, and_beaver_many,
+                                b2a_full, bit_to_arith, ltz, matmul_beaver_many,
+                                mul_beaver_many, share_arith, truncate_share)
 from mpcadapter.sharing import _rand_words
 
 ULP = 2.0 ** -16
@@ -182,32 +181,6 @@ def test_dealer_rejects_bad_shapes_before_drawing(pid, method, args):
 
 # ---------------------------------------------------------------------------
 # interactive protocols
-
-def test_open_values(rng):
-    x = np.uint64(7)
-    s0, s1 = share_arith(x, rng)
-
-    def proto(pid, ch, dealer):
-        return open_values([s0, s1][pid], ch)
-
-    out0, out1, (m0, m1) = run_protocol(proto)
-    assert out0 == 7 and out1 == 7
-    assert m0.rounds == 1 and m1.rounds == 1
-
-
-def test_open_forbidden_by_audit_flag(rng):
-    s0, s1 = share_arith(np.uint64(7), rng)
-
-    def proto(pid, ch, dealer):
-        ch.forbid_plain_open = True
-        with pytest.raises(AuditError):
-            open_values([s0, s1][pid], ch)
-        ch.forbid_plain_open = False
-        return open_values([s0, s1][pid], ch)
-
-    out0, out1, _ = run_protocol(proto)
-    assert out0 == 7 == out1
-
 
 def test_mul_beaver_hand_example():
     """x=3, y=4 with triple a=1, b=2, c=2: opened 2 and 2, result 12."""
@@ -505,7 +478,6 @@ _X, _Y = (1 << 64) - 3 * 2**32, 7 * 2**16 + 5  # -3.0 at scale 2^2f, 7.0001 at 2
 # Each protocol on 0-d shares ``s`` of _X and _Y (arithmetic x, y; binary
 # xb, yb): (call, how the two parties' results combine, the combined word).
 _ZERO_D_PROTOCOLS = {
-    "open": (lambda pid, ch, d, s: open_values(s["x"], ch), lambda a, b: a, _X),
     "mul": (lambda pid, ch, d, s: mul_beaver_many([(s["x"], s["y"])], [d.arith_triple(())], ch)[0],
             lambda a, b: a + b, (_X * _Y) % (1 << 64)),
     "and": (lambda pid, ch, d, s: and_beaver_many([(s["xb"], s["yb"])], [d.bin_triple(())], ch)[0],
