@@ -193,8 +193,8 @@ class PartyContext:
     dealer: PartyDealer
     public = staticmethod(_encode_public)
 
-    def truncate(self, x: np.ndarray) -> np.ndarray:
-        return truncate_share(x, self.channel.party_id)
+    def truncate(self, x: np.ndarray, extra_bits: int = 0) -> np.ndarray:
+        return truncate_share(x, self.channel.party_id, extra_bits)
 
     def mul_many(self, pairs, label: str) -> list:
         triples = [self.dealer.arith_triple(x.shape, y.shape) for x, y in pairs]
@@ -222,8 +222,8 @@ class PlainContext:
     """
     public = staticmethod(_encode_public)
 
-    def truncate(self, x: np.ndarray) -> np.ndarray:
-        return truncate(x)
+    def truncate(self, x: np.ndarray, extra_bits: int = 0) -> np.ndarray:
+        return truncate(x, extra_bits)
 
     def mul_many(self, pairs, label: str) -> list:
         return [x * y for x, y in pairs]
@@ -239,14 +239,15 @@ class FloatContext(PlainContext):
     """float64 backend: the float twin, the same wiring over real values.
 
     A public constant is the real itself and a product needs no rescale, so
-    truncation is the identity; ``mul_many`` is ``PlainContext``'s.
+    truncation only takes off the extra bits a constant carries;
+    ``mul_many`` is ``PlainContext``'s.
     """
 
     def public(self, value: float) -> float:
         return value
 
-    def truncate(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def truncate(self, x: np.ndarray, extra_bits: int = 0) -> np.ndarray:
+        return x * 2.0 ** -extra_bits
 
     def matmul(self, x: np.ndarray, w: np.ndarray, label: str) -> np.ndarray:
         return np.matmul(x, w)
@@ -256,8 +257,15 @@ class FloatContext(PlainContext):
 
 
 def _row_mean(ctx, x):
+    """Mean over the last axis.  Where n is not a power of two, 1/n at f
+    bits is coarse (1/768 encodes to 85, 0.39% low), so the constant is
+    2^8/n and the product is truncated by f + 8.  Power-of-two rows keep
+    their exact word and their truncation-failure risk, which a raw product
+    2^8 larger would raise 2^8-fold."""
+    n = x.shape[-1]
+    extra = 0 if n & (n - 1) == 0 else 8
     total = np.sum(x, axis=-1, keepdims=True)
-    return ctx.truncate(total * ctx.public(1.0 / x.shape[-1]))
+    return ctx.truncate(total * ctx.public(2.0 ** extra / n), extra)
 
 
 def linear_private(ctx, x, w):

@@ -81,7 +81,8 @@ class FixedTensor:
         return decode_fixed(self.data)
 
 
-def truncate(v: np.ndarray) -> np.ndarray:
-    """Signed right shift by f: rescales a 2^2f product back to 2^f."""
-    return kernels.arith_shift_right(v, DEFAULT_CONFIG.frac_bits)
+def truncate(v: np.ndarray, extra_bits: int = 0) -> np.ndarray:
+    """Signed right shift by f + extra_bits: rescales a 2^2f product back to
+    2^f, and a product with a constant that carries extra bits too."""
+    return kernels.arith_shift_right(v, DEFAULT_CONFIG.frac_bits + extra_bits)
 

@@ -234,14 +234,15 @@ def matmul_beaver_many(pairs, triples, channel: Channel,
     return _beaver_many(pairs, triples, channel, label, kernels.matmul_u64, ARITH)
 
 
-def truncate_share(x: np.ndarray, party_id: int) -> np.ndarray:
-    """Local probabilistic truncation from scale 2^2f back to 2^f.
+def truncate_share(x: np.ndarray, party_id: int, extra_bits: int = 0) -> np.ndarray:
+    """Local probabilistic truncation from scale 2^2f back to 2^f, shifting
+    ``extra_bits`` further (see ``ring.truncate``).
 
     Party 0 floor-divides its share, party 1 negates/divides/negates; the
     reconstruction is within 1 ulp of the true truncated value except
     with negligible probability under the 2^62 headroom guard.
     """
-    f = np.uint64(DEFAULT_CONFIG.frac_bits)
+    f = np.uint64(DEFAULT_CONFIG.frac_bits + extra_bits)
     if party_id == 0:
         return np.asarray(x >> f)
     # np.negative wraps mod 2^64 silently; on a 0-d share `0 - x` would be

@@ -391,6 +391,24 @@ def test_plain_twin_vs_float_twin(rng):
     assert np.max(np.abs(plain - ref)) <= 2.0 ** -10
 
 
+def test_twin_holds_float_at_paper_width():
+    """At d_model = 768 the tail norm's row mean divides by a width that is
+    not a power of two; the twin stays within 1e-3 of float64 there (7.1e-3
+    when 1/768 was encoded at 16 bits)."""
+    config = AdapterConfig(h=2, r=16, s=1, d_model=768, n_tokens=16)
+    worst = 0.0
+    for seed in (1, 2, 3):
+        weights = random_weights(config, derived_rng(seed, "weights"))
+        wf = weights_to_float(weights)
+        irng = derived_rng(seed, "inputs")
+        for _ in range(4):
+            feat = random_features(config, irng)
+            plain = pipeline_forward_plain(feat, weights, config).to_real()
+            ref = reference.pipeline_forward_float(feat.to_real(), wf, config)
+            worst = max(worst, np.max(np.abs(plain - ref)))
+    assert worst <= 1e-3
+
+
 @pytest.mark.parametrize("config", [
     AdapterConfig(h=2, r=8, s=2),
     AdapterConfig(h=8, r=64, s=4, d_model=768, n_tokens=128),
@@ -481,9 +499,9 @@ PAPER_GOLDEN_CONFIG = AdapterConfig(h=8, r=64, s=1, d_model=768, n_tokens=128)
 # the protocol or the fixed-point format.  The pipeline digests leave out the
 # setup entry: they pin every online word, and change only with the pipeline.
 GOLDEN_TRANSCRIPT = "6c15811dec72c9a4b28957bbed9b1886082d9bd335645a6cf941b744c0e3b194"
-PAPER_GOLDEN_TRANSCRIPT = "6286a205dc03b16ac7badfb27343ca42248c8963eed739681aee0a33fa723819"
+PAPER_GOLDEN_TRANSCRIPT = "d8b8ea403f2ed51a8cb3ed3623d9279fc8b604b335bafe06665b5f244c48d0e1"
 PIPELINE_GOLDEN = "86735f04713dd596c4231ce1b131c272c04d6dd09760cd9028d72b92809b404b"
-PAPER_PIPELINE_GOLDEN = "f14b4d97ab6ff995f2a2280b50e2c81b7e8b5e0e6a6d82e79ca530e53e97ac49"
+PAPER_PIPELINE_GOLDEN = "a8892fb5e4b06189b86a0dc6abb4ae4f4cc0bd66a8bbafb2455cf84fc0cd59a1"
 
 
 def test_inference_golden_transcript():
