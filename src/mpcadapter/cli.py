@@ -1,13 +1,14 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 acceptance failure, 2 usage/config error,
-3 I/O error, 4 protocol/transport error.
+Exit codes: 0 success, 1 acceptance failure (``verify`` FAIL, ``search``
+with no feasible config), 2 usage or config error, 3 I/O error, 4 protocol
+or transport error.  Commands raise; ``FAILURES`` maps each outside-input
+and peer failure to its exit code and message prefix.
 """
 
 import json
-import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -20,11 +21,6 @@ from .nn import (AdapterConfig, ConfigMismatchError, derived_rng,
                  weights_to_float)
 from .runtime import (ENVS, WAN, ChannelError, NetworkEnv, merge_meters,
                       simulate_latency, tcp_channel)
-
-EXIT_FAIL = 1
-EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_PROTOCOL = 4
 
 
 class ConfigError(ValueError):
@@ -47,33 +43,46 @@ class RunConfig:
 
     @classmethod
     def parse(cls, doc: dict) -> "RunConfig":
+        """The run configuration a JSON document declares; anything
+        malformed in it raises ConfigError."""
+        if not isinstance(doc, dict):
+            raise ConfigError("a run config is a JSON object")
         unknown = set(doc) - set(_SECTIONS) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for section, allowed in _SECTIONS.items():
-            bad = set(doc.get(section, {})) - allowed
+            body = doc.get(section, {})
+            if not isinstance(body, dict):
+                raise ConfigError(f"{section} must be an object, got {body!r}")
+            bad = set(body) - allowed
             if bad:
                 raise ConfigError(f"unknown keys in {section}: {sorted(bad)}")
         try:
             adapter = AdapterConfig(**doc.get("adapter", {}))
+            env_doc = doc.get("env")
+            if env_doc:
+                label = env_doc.get("label", "custom")
+                if "bandwidth_mbps" in env_doc or "latency_ms" in env_doc:
+                    # A figure left out keeps its WAN value.
+                    bandwidth_mbps = env_doc.get("bandwidth_mbps", WAN.bandwidth_bps / 1e6)
+                    latency_ms = env_doc.get("latency_ms", WAN.latency_s / 1e-3)
+                    env = NetworkEnv(label, bandwidth_mbps * 1e6, latency_ms * 1e-3)
+                elif label in ENVS:
+                    env = ENVS[label]
+                else:
+                    raise ConfigError(f"unknown env label {label!r}")
+            else:
+                env = WAN
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
-        env_doc = doc.get("env")
-        if env_doc:
-            label = env_doc.get("label", "custom")
-            if "bandwidth_mbps" in env_doc or "latency_ms" in env_doc:
-                # A figure left out keeps its WAN value.
-                bandwidth_mbps = env_doc.get("bandwidth_mbps", WAN.bandwidth_bps / 1e6)
-                latency_ms = env_doc.get("latency_ms", WAN.latency_s / 1e-3)
-                env = NetworkEnv(label, bandwidth_mbps * 1e6, latency_ms * 1e-3)
-            elif label in ENVS:
-                env = ENVS[label]
-            else:
-                raise ConfigError(f"unknown env label {label!r}")
-        else:
-            env = WAN
-        return cls(adapter=adapter, env=env,
-                   paths=doc.get("paths", {}), seed=int(doc.get("seed", 0)))
+        paths = doc.get("paths", {})
+        bad = sorted(k for k, v in paths.items() if not isinstance(v, str))
+        if bad:
+            raise ConfigError(f"paths must be strings: {bad}")
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        return cls(adapter=adapter, env=env, paths=paths, seed=seed)
 
 
 def load_run_config(path, seed_override=None) -> RunConfig:
@@ -94,40 +103,47 @@ def load_run_config(path, seed_override=None) -> RunConfig:
 
 def _emit(ctx_obj, doc: dict, human_lines):
     if ctx_obj.get("json"):
-        click.echo(json.dumps(doc, indent=2, default=_jsonable))
+        click.echo(json.dumps(doc, indent=2))
     else:
         for line in human_lines:
             click.echo(line)
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.integer, np.floating)):
-        return x.item()
-    raise TypeError(f"not JSON serializable: {type(x)}")
+# The exit code and message prefix of each outside-input and peer failure.
+FAILURES = {
+    ConfigError: (2, "config error"),
+    costmodel.UnderDeterminedError: (2, "fit error"),
+    nas.EvaluatorError: (2, "evaluator error"),
+    OSError: (3, "io error"),
+    tensorio.TensorFormatError: (3, "io error"),
+    costmodel.CsvFormatError: (3, "io error"),
+    ConfigMismatchError: (4, "protocol error"),
+    ChannelError: (4, "transport error"),
+}
 
 
-@click.group()
+class _Main(click.Group):
+    """Exits each command's failure through ``FAILURES``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(FAILURES) as e:
+            code, prefix = next(v for t, v in FAILURES.items() if isinstance(e, t))
+            click.echo(f"{prefix}: {e}", err=True)
+            ctx.exit(code)
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Run-configuration JSON file.")
-@click.option("--seed", type=int, default=None, help="Override the seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the seed.")
 @click.option("--json", "as_json", is_flag=True, help="JSON output.")
 @click.pass_context
 def main(ctx, config_path, seed, as_json):
     """Two-party private inference engine for adapter pipelines."""
-    ctx.ensure_object(dict)
-    ctx.obj["config_path"] = config_path
-    ctx.obj["seed"] = seed
-    ctx.obj["json"] = as_json
-
-
-def _run_config(ctx) -> RunConfig:
-    try:
-        return load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_USAGE)
+    ctx.obj = {"config_path": config_path, "seed": seed, "json": as_json}
 
 
 def _host_port(ctx, param, value) -> tuple:
@@ -138,6 +154,21 @@ def _host_port(ctx, param, value) -> tuple:
     return host, int(port)
 
 
+def _int_lists(count: int):
+    """A click callback parsing ``count`` colon-separated lists of
+    comma-separated integers >= 1; one list comes back as a tuple."""
+    def parse(ctx, param, value):
+        try:
+            lists = [tuple(int(v) for v in part.split(",")) for part in value.split(":")]
+        except ValueError:
+            lists = []
+        if len(lists) != count or min(map(min, lists)) < 1:
+            raise click.BadParameter(
+                f"expected {count} list(s) of integers >= 1 split by ':', got {value!r}")
+        return lists[0] if count == 1 else lists
+    return parse
+
+
 def _load_features(path, config: AdapterConfig) -> list:
     arr = tensorio.load_tensor_file(path, dtype="f32")
     if arr.ndim == 2:
@@ -146,7 +177,7 @@ def _load_features(path, config: AdapterConfig) -> list:
     if arr.ndim != 3 or arr.shape[1:] != want:
         raise tensorio.TensorFormatError(
             f"features must be {want} or [k, *{want}], got {arr.shape}")
-    return [tensorio.tensor_as_fixed(a, "f32") for a in arr]
+    return [tensorio.tensor_as_fixed(a) for a in arr]
 
 
 def _load_weights(path, config: AdapterConfig) -> dict:
@@ -169,49 +200,35 @@ def _load_weights(path, config: AdapterConfig) -> dict:
 @click.pass_context
 def infer(ctx, role, addr):
     """Run private inference over the configured weights and features."""
-    rc = _run_config(ctx)
+    rc = load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
     config = rc.adapter
 
     def load(what, loader):
-        path = rc.paths.get(what)
-        if not path:
-            click.echo(f"config error: paths.{what} is required for infer",
-                       err=True)
-            sys.exit(EXIT_USAGE)
-        if not Path(path).exists():
-            click.echo(f"io error: {what} not found: {path}", err=True)
-            sys.exit(EXIT_IO)
-        return loader(path, config)
+        if not rc.paths.get(what):
+            raise ConfigError(f"paths.{what} is required for infer")
+        return loader(rc.paths[what], config)
 
     weights = features = None
-    try:
-        if role != "0":
-            weights = load("weights_dir", _load_weights)
-        if role != "1":
-            features = load("features_file", _load_features)
-    except (OSError, tensorio.TensorFormatError) as e:
-        click.echo(f"io error: {e}", err=True)
-        sys.exit(EXIT_IO)
+    if role != "0":
+        weights = load("weights_dir", _load_weights)
+    if role != "1":
+        features = load("features_file", _load_features)
 
     t0, total = time.perf_counter(), None
-    try:
-        if role is None:
-            result, meters = private_inference(config, weights, features, rc.seed)
-            meter, total = meters[0], merge_meters(*meters)
-        else:
+    if role is None:
+        result, meters = private_inference(config, weights, features, rc.seed)
+        meter, total = meters[0], merge_meters(*meters)
+    else:
+        try:
             channel = tcp_channel(int(role), *addr)
             try:
                 result = inference_party(int(role), config, rc.seed, weights,
                                          features)(channel)
             finally:
                 channel.end.close()
-            meter = channel.meter
-    except ConfigMismatchError as e:
-        click.echo(f"protocol error: {e}", err=True)
-        sys.exit(EXIT_PROTOCOL)
-    except (ChannelError, OSError) as e:
-        click.echo(f"transport error: {e}", err=True)
-        sys.exit(EXIT_PROTOCOL)
+        except OSError as e:
+            raise ChannelError(str(e)) from e
+        meter = channel.meter
     wall = time.perf_counter() - t0
 
     report = {
@@ -252,7 +269,7 @@ def infer(ctx, role, addr):
 @click.pass_context
 def verify(ctx, n_inputs, tolerance, agreement):
     """Check the private pipeline against the float64 reference."""
-    rc = _run_config(ctx)
+    rc = load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
     config = rc.adapter
     weights = random_weights(config, derived_rng(rc.seed, "weights"))
     irng = derived_rng(rc.seed, "inputs")
@@ -276,7 +293,7 @@ def verify(ctx, n_inputs, tolerance, agreement):
              "PASS" if ok else f"FAIL (worst input index {worst})"]
     _emit(ctx.obj, doc, lines)
     if not ok:
-        sys.exit(EXIT_FAIL)
+        ctx.exit(1)
 
 
 @main.command()
@@ -284,7 +301,7 @@ def verify(ctx, n_inputs, tolerance, agreement):
 def estimate(ctx):
     """Closed-form latency and traffic estimates for the configured adapter,
     against the published full-model fine-tuning baseline."""
-    rc = _run_config(ctx)
+    rc = load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
     config = rc.adapter
     rounds = costmodel.estimate_rounds(config)
     gb = costmodel.estimate_comm_gb(config)
@@ -319,7 +336,7 @@ def estimate(ctx):
 
 
 @main.command()
-@click.option("--grid", default="1,2:4,8:1,2",
+@click.option("--grid", default="1,2:4,8:1,2", callback=_int_lists(3),
               help="h values : r values : s values, comma separated.",
               show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True,
@@ -327,29 +344,12 @@ def estimate(ctx):
 @click.pass_context
 def profile(ctx, grid, out_path):
     """Profile the real engine over a config grid and save samples."""
-    rc = _run_config(ctx)
-    try:
-        hs, rs, ss = ([int(v) for v in part.split(",")]
-                      for part in grid.split(":"))
-        if min(hs + rs + ss) < 1:
-            raise ValueError
-    except ValueError:
-        click.echo(f"usage error: bad --grid {grid!r}", err=True)
-        sys.exit(EXIT_USAGE)
-    base = rc.adapter
-    configs = []
-    for s in ss:
-        for h in hs:
-            for r in rs:
-                if r % h:
-                    continue
-                configs.append(AdapterConfig(
-                    h=h, r=r, s=s, scaler=base.scaler, d_model=base.d_model,
-                    n_tokens=base.n_tokens, n_classes=base.n_classes))
+    rc = load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
+    hs, rs, ss = grid
+    configs = [replace(rc.adapter, h=h, r=r, s=s)
+               for s in ss for h in hs for r in rs if r % h == 0]
     if not configs:
-        click.echo(f"usage error: --grid {grid!r} has no rank divisible by a head count",
-                   err=True)
-        sys.exit(EXIT_USAGE)
+        raise click.UsageError("--grid has no rank divisible by a head count", ctx)
     samples = costmodel.profile_pipeline(configs, rc.env, seed=rc.seed)
     costmodel.save_samples_csv(out_path, samples)
     doc = {"samples": len(samples), "out": str(out_path)}
@@ -362,16 +362,8 @@ def profile(ctx, grid, out_path):
 @click.pass_context
 def fit(ctx, samples_path, env_label):
     """Fit the affine cost model to profiled samples."""
-    try:
-        samples = costmodel.load_samples_csv(samples_path)
-    except (OSError, costmodel.CsvFormatError) as e:
-        click.echo(f"io error: {e}", err=True)
-        sys.exit(EXIT_IO)
-    try:
-        coeffs, r2_comm, r2_comp = costmodel.fit_cost_model(samples, env_label)
-    except costmodel.UnderDeterminedError as e:
-        click.echo(f"fit error: {e}", err=True)
-        sys.exit(EXIT_USAGE)
+    samples = costmodel.load_samples_csv(samples_path)
+    coeffs, r2_comm, r2_comp = costmodel.fit_cost_model(samples, env_label)
     doc = json.loads(coeffs.to_json(r2_comm, r2_comp))
     lines = [
         f"comm: ({coeffs.comm[0]:.5f} h + {coeffs.comm[1]:.5f} r + "
@@ -386,8 +378,9 @@ def fit(ctx, samples_path, env_label):
 @click.option("--utility-target", type=float, default=0.85, show_default=True)
 @click.option("--latency-target", type=float, default=2.0, show_default=True)
 @click.option("--patience", type=int, default=50, show_default=True)
-@click.option("--heads", default="1,2,4", show_default=True)
-@click.option("--ranks", default="4,8,12,16", show_default=True)
+@click.option("--heads", default="1,2,4", callback=_int_lists(1), show_default=True)
+@click.option("--ranks", default="4,8,12,16", callback=_int_lists(1),
+              show_default=True)
 @click.option("--s-max", type=int, default=3, show_default=True)
 @click.option("--exhaustive", is_flag=True,
               help="Deterministic controller that cycles all valid pairs.")
@@ -399,49 +392,36 @@ def fit(ctx, samples_path, env_label):
 def search(ctx, utility_target, latency_target, patience, heads, ranks,
            s_max, exhaustive, brute_force, evaluator_cmd, max_samples):
     """Latency-constrained search for (h, r, s)."""
-    rc = _run_config(ctx)
+    rc = load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
     try:
-        space = nas.SearchSpace(
-            heads=tuple(int(v) for v in heads.split(",")),
-            ranks=tuple(int(v) for v in ranks.split(",")),
-            s_max=s_max)
+        space = nas.SearchSpace(heads=heads, ranks=ranks, s_max=s_max)
         targets = nas.SearchTargets(utility=utility_target,
                                     latency_s=latency_target,
                                     patience=patience)
     except ValueError as e:
-        click.echo(f"usage error: {e}", err=True)
-        sys.exit(EXIT_USAGE)
+        raise click.UsageError(str(e), ctx) from None
 
     if evaluator_cmd:
         evaluator = nas.CommandEvaluator(evaluator_cmd.split())
     else:
-        try:
-            evaluator = nas.TableEvaluator.from_csv(
-                rc.paths.get("utility_table", nas.DEMO_TABLE))
-        except (OSError, costmodel.CsvFormatError) as e:
-            click.echo(f"io error: {e}", err=True)
-            sys.exit(EXIT_IO)
+        evaluator = nas.TableEvaluator.from_csv(
+            rc.paths.get("utility_table", nas.DEMO_TABLE))
 
     latency_fn = nas.latency_model_fn(costmodel.PUBLISHED_WAN)
-    try:
-        if brute_force:
-            result = nas.brute_force_search(targets, latency_fn, space, evaluator)
-        elif exhaustive:
-            controller = nas.ExhaustiveController(
-                space.valid_pairs(), order_key=lambda p: latency_fn(p[0], p[1], 1))
-            result = nas.nas_search(targets, latency_fn, space, evaluator,
-                                    controller=controller,
-                                    max_samples=max_samples)
-        else:
-            result = nas.nas_search(targets, latency_fn, space, evaluator,
-                                    seed=rc.seed, max_samples=max_samples)
-    except nas.EvaluatorError as e:
-        click.echo(f"evaluator error: {e}", err=True)
-        sys.exit(EXIT_USAGE)
+    if brute_force:
+        result = nas.brute_force_search(targets, latency_fn, space, evaluator)
+    elif exhaustive:
+        controller = nas.ExhaustiveController(
+            space.valid_pairs(), order_key=lambda p: latency_fn(p[0], p[1], 1))
+        result = nas.nas_search(targets, latency_fn, space, evaluator,
+                                controller=controller, max_samples=max_samples)
+    else:
+        result = nas.nas_search(targets, latency_fn, space, evaluator,
+                                seed=rc.seed, max_samples=max_samples)
 
     if not result.feasible:
         _emit(ctx.obj, {"feasible": False}, ["no feasible config"])
-        sys.exit(EXIT_FAIL)
+        ctx.exit(1)
     doc = {"h": result.h, "r": result.r, "s": result.s,
            "utility": result.utility, "samples": result.samples,
            "evaluations": len(result.evaluations), "feasible": True,

@@ -10,7 +10,7 @@ truth and are meant to be fitted from profiles.
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -157,16 +157,12 @@ def profile_pipeline(configs, env: NetworkEnv, seed: int = 0) -> list:
     return samples
 
 
-CSV_HEADER = ["h", "r", "s", "comm_time_s", "comp_time_s", "rounds", "bytes"]
-
-
 def save_samples_csv(path, samples):
+    """One column per ``ProfileSample`` field, in field order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for p in samples:
-            writer.writerow([p.h, p.r, p.s, p.comm_time_s, p.comp_time_s,
-                             p.rounds, p.bytes])
+        writer.writerow(f.name for f in fields(ProfileSample))
+        writer.writerows(astuple(p) for p in samples)
 
 
 class CsvFormatError(ValueError):
@@ -188,8 +184,6 @@ def read_csv(path, parse_row) -> list:
 
 
 def load_samples_csv(path):
+    """Each field of ``ProfileSample`` is read from its column by its type."""
     return read_csv(path, lambda row: ProfileSample(
-        h=int(row["h"]), r=int(row["r"]), s=int(row["s"]),
-        comm_time_s=float(row["comm_time_s"]),
-        comp_time_s=float(row["comp_time_s"]),
-        rounds=int(row["rounds"]), bytes=int(row["bytes"])))
+        **{f.name: f.type(row[f.name]) for f in fields(ProfileSample)}))

@@ -79,10 +79,6 @@ class SearchResult:
     samples: int = 0
     evaluations: list = field(default_factory=list)  # (h, r, s, utility)
 
-    @property
-    def config_tuple(self):
-        return (self.h, self.r, self.s)
-
 
 class Controller:
     """Softmax policy over valid pairs, REINFORCE with an EMA baseline."""
@@ -174,7 +170,10 @@ class CommandEvaluator:
 
     def __call__(self, h, r, s) -> float:
         cmd = self.argv + ["--h", str(h), "--r", str(r), "--s", str(s)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as e:
+            raise EvaluatorError(f"evaluator {cmd} cannot start: {e}") from None
         if proc.returncode != 0:
             raise EvaluatorError(
                 f"evaluator {cmd} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -185,10 +184,6 @@ class CommandEvaluator:
         if not 0.0 <= u <= 1.0:
             raise EvaluatorError(f"utility {u} outside [0, 1]")
         return u
-
-
-def demo_evaluator() -> TableEvaluator:
-    return TableEvaluator.from_csv(DEMO_TABLE)
 
 
 # ---------------------------------------------------------------------------

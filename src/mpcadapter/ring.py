@@ -40,14 +40,15 @@ def encode_fixed(value) -> np.ndarray:
     """Encode reals as ring elements: round(value * 2^f) mod 2^64.
 
     Rounding is half-away-from-zero (sign symmetric); negatives are stored
-    as two's complement.  Raises RingOverflowError if any encoded
-    magnitude reaches the 2^62 headroom guard.
+    as two's complement.  Raises RingOverflowError if any value is NaN or
+    its encoded magnitude reaches the 2^62 headroom guard.
     """
     value = np.asarray(value, dtype=np.float64)
     scaled = value * DEFAULT_CONFIG.scale
-    if np.any(np.abs(scaled) >= float(1 << HEADROOM_BITS)):
+    # Written as "not all below" so that NaN, which compares false, fails too.
+    if not np.all(np.abs(scaled) < float(1 << HEADROOM_BITS)):
         raise RingOverflowError(
-            f"encoded magnitude exceeds 2^{HEADROOM_BITS} headroom"
+            f"encoded magnitude is NaN or exceeds 2^{HEADROOM_BITS} headroom"
         )
     magnitude = np.floor(np.abs(scaled) + 0.5)
     signed = np.where(scaled < 0, -magnitude, magnitude)

@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ring import DEFAULT_CONFIG, FixedTensor, encode_fixed
+from .ring import DEFAULT_CONFIG, FixedTensor, RingOverflowError, encode_fixed
 
 MAGIC = b"CPFT"
 VERSION = 1
 
-DTYPES = ("f32", "u64ring")
+# Payload dtype, as the manifest declares it: its numpy dtype.
+DTYPES = {"f32": np.dtype("<f4"), "u64ring": np.dtype("<u8")}
 
 
 class TensorFormatError(ValueError):
@@ -38,11 +39,7 @@ def write_tensor(buf, array: np.ndarray, dtype: str):
     buf.write(MAGIC)
     buf.write(struct.pack("<HH", VERSION, array.ndim))
     buf.write(struct.pack(f"<{array.ndim}Q", *array.shape))
-    if dtype == "f32":
-        payload = np.ascontiguousarray(array, dtype="<f4")
-    else:
-        payload = np.ascontiguousarray(array, dtype="<u8")
-    buf.write(payload.tobytes())
+    buf.write(np.ascontiguousarray(array, dtype=DTYPES[dtype]).tobytes())
 
 
 def _read_exact(buf, n: int, what: str) -> bytes:
@@ -63,10 +60,8 @@ def read_tensor(buf, dtype: str) -> np.ndarray:
         raise TensorFormatError(f"unsupported format version {version}")
     shape = struct.unpack(f"<{rank}Q", _read_exact(buf, 8 * rank, "header"))
     count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    itemsize = 4 if dtype == "f32" else 8
-    raw = _read_exact(buf, count * itemsize, "payload")
-    kind = "<f4" if dtype == "f32" else "<u8"
-    return np.frombuffer(raw, dtype=kind).reshape(shape).copy()
+    raw = _read_exact(buf, count * DTYPES[dtype].itemsize, "payload")
+    return np.frombuffer(raw, dtype=DTYPES[dtype]).reshape(shape).copy()
 
 
 def save_tensor_file(path, array: np.ndarray, dtype: str = "f32"):
@@ -79,10 +74,16 @@ def load_tensor_file(path, dtype: str = "f32") -> np.ndarray:
         return read_tensor(fh, dtype)
 
 
-def tensor_as_fixed(array: np.ndarray, dtype: str) -> FixedTensor:
-    if dtype == "f32":
+def tensor_as_fixed(array: np.ndarray) -> FixedTensor:
+    """Ring words of a payload: reals are encoded, ring words kept.  A real
+    that is not finite or out of the fixed-point range raises
+    TensorFormatError."""
+    if array.dtype == DTYPES["u64ring"]:
+        return FixedTensor(array)
+    try:
         return FixedTensor(encode_fixed(array.astype(np.float64)))
-    return FixedTensor(array.astype(np.uint64))
+    except RingOverflowError as e:
+        raise TensorFormatError(f"tensor value not encodable: {e}") from None
 
 
 def save_weights_dir(path, tensors: dict, meta: dict, dtype: str = "f32"):
@@ -137,5 +138,5 @@ def load_weights_dir(path):
                     f"shape mismatch for {entry['name']}: manifest says "
                     f"{entry['shape']}, payload has {list(array.shape)}"
                 )
-            tensors[entry["name"]] = tensor_as_fixed(array, entry["dtype"])
+            tensors[entry["name"]] = tensor_as_fixed(array)
     return tensors, manifest

@@ -15,8 +15,8 @@ import pytest
 from mpcadapter.costmodel import (PUBLISHED_WAN, SFT_BASELINE, estimate_comm_gb,
                                   estimate_latency, estimate_rounds,
                                   fit_cost_model, ProfileSample)
-from mpcadapter.nas import (ExhaustiveController, SearchSpace, SearchTargets,
-                            brute_force_search, demo_evaluator,
+from mpcadapter.nas import (DEMO_TABLE, ExhaustiveController, SearchSpace,
+                            SearchTargets, TableEvaluator, brute_force_search,
                             latency_model_fn, nas_search)
 from mpcadapter.nn import (AdapterConfig, derived_rng, inference_party,
                            private_inference, random_features, random_weights,
@@ -178,12 +178,13 @@ def test_criterion_6_nas_oracle_equivalence(report):
     space = SearchSpace(heads=(1, 2, 4), ranks=(4, 8, 12, 16), s_max=3)
     targets = SearchTargets(utility=0.85, latency_s=2.0, patience=50)
     lat = latency_model_fn(PUBLISHED_WAN)
-    ev = demo_evaluator()
+    ev = TableEvaluator.from_csv(DEMO_TABLE)
     oracle = brute_force_search(targets, lat, space, ev)
     ctrl = ExhaustiveController(space.valid_pairs(),
                                 order_key=lambda p: lat(p[0], p[1], 1))
     exhaustive = nas_search(targets, lat, space, ev, controller=ctrl)
-    same = (exhaustive.config_tuple == oracle.config_tuple
+    best = (oracle.h, oracle.r, oracle.s)
+    same = ((exhaustive.h, exhaustive.r, exhaustive.s) == best
             and exhaustive.utility == oracle.utility)
     wins = 0
     for seed in range(20):
@@ -192,7 +193,7 @@ def test_criterion_6_nas_oracle_equivalence(report):
             wins += 1
     elapsed = time.perf_counter() - t0
     ok = same and wins >= 19 and elapsed < 60
-    report(6, ok, f"exhaustive == oracle {oracle.config_tuple}: {same}, "
+    report(6, ok, f"exhaustive == oracle {best}: {same}, "
                    f"stochastic {wins}/20 seeds, {elapsed:.1f} s")
 
 

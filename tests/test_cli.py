@@ -1,11 +1,16 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mpcadapter
 from mpcadapter import cli, tensorio
 from mpcadapter.cli import RunConfig, ConfigError, main
 from mpcadapter.nn import (AdapterConfig, ConfigMismatchError, derived_rng,
@@ -261,11 +266,109 @@ def test_infer_tcp_closes_its_socket(runner, tmp_path, monkeypatch, peer_h, code
     assert opened[0].end._sock.fileno() == -1  # closed
 
 
-def test_bad_config_is_usage_error(runner, tmp_path):
+def _party_process(cfg_path, role: str, port: int) -> subprocess.Popen:
+    """`python -m mpcadapter.cli ... infer --role <role>` on this checkout."""
+    path = [str(Path(mpcadapter.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.Popen(
+        [sys.executable, "-m", "mpcadapter.cli", "--config", str(cfg_path),
+         "infer", "--role", role, "--addr", f"127.0.0.1:{port}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+
+
+@pytest.mark.parametrize("party0_h,code", [(1, 0), (2, 4)], ids=["success", "mismatch"])
+def test_infer_as_two_processes(runner, tmp_path, party0_h, code):
+    """The deployed mode: party 0 and party 1 as two processes over loopback
+    TCP.  Party 0's logits equal in-process `infer` on the same files; when
+    the two configs differ in h, both parties exit 4."""
+    cfg1 = _write_demo_files(tmp_path)
+    doc = json.loads(cfg1.read_text())
+    doc["adapter"]["h"] = party0_h
+    cfg0 = tmp_path / "run0.json"
+    cfg0.write_text(json.dumps(doc))
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    procs = [_party_process(cfg0, "0", port), _party_process(cfg1, "1", port)]
+    try:
+        errs = [p.communicate(timeout=60)[1] for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait(timeout=10)
+    assert [p.returncode for p in procs] == [code, code], errs
+    if code:
+        assert all(e.startswith("protocol error:") for e in errs), errs
+        return
+    report = json.loads((tmp_path / "out" / "report_party0.json").read_text())
+    res = runner.invoke(main, ["--config", str(cfg1), "--json", "infer"])
+    assert res.exit_code == 0, res.output
+    assert report["logits"] == json.loads(res.output)["logits"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"bogus": 1},
+    {"env": {"bandwidth_mbps": 0}},
+    {"env": {"latency_ms": -1}},
+    {"env": {"bandwidth_mbps": "fast"}},
+    {"seed": "abc"},
+    None,
+    {"seed": 1.7},
+    {"paths": {"weights_dir": 5}},
+], ids=["unknown-key", "zero-bandwidth", "negative-latency", "bandwidth-not-a-number",
+        "seed-not-a-number", "null-document", "seed-not-an-integer",
+        "path-not-a-string"])
+def test_bad_config_is_usage_error(runner, tmp_path, doc):
     p = tmp_path / "bad.json"
-    p.write_text('{"bogus": 1}')
+    p.write_text(json.dumps(doc))
     res = runner.invoke(main, ["--config", str(p), "estimate"])
     assert res.exit_code == 2
+    assert res.output.startswith("config error:"), res.output
+
+
+@pytest.mark.parametrize("command", ["profile", "infer"])
+def test_unwritable_output_is_io_error(runner, tmp_path, command):
+    """An output path under a regular file cannot be written: exit 3."""
+    cfg_path = _write_demo_files(tmp_path)
+    (tmp_path / "blocker").write_text("")
+    out = tmp_path / "blocker" / "out"
+    if command == "profile":
+        args = ["profile", "--grid", "1:4,8:1,2", "--out", str(out / "samples.csv")]
+    else:
+        doc = json.loads(cfg_path.read_text())
+        doc["paths"]["output_dir"] = str(out)
+        cfg_path.write_text(json.dumps(doc))
+        args = ["infer"]
+    res = runner.invoke(main, ["--config", str(cfg_path)] + args)
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith("io error:") and "blocker" in res.output
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e20], ids=["nan", "inf", "1e20"])
+def test_infer_rejects_non_finite_or_huge_features(runner, tmp_path, value):
+    """A feature the fixed-point format cannot hold is an I/O error (exit
+    3) before any round, not a logit computed from a wrapped word."""
+    cfg_path = _write_demo_files(tmp_path)
+    feats = tensorio.load_tensor_file(tmp_path / "features.bin", "f32")
+    feats[1, 2, 3] = value
+    tensorio.save_tensor_file(tmp_path / "features.bin", feats, "f32")
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
+    assert res.exit_code == 3, res.output
+    assert "io error:" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_infer_rejects_nan_weight(runner, tmp_path):
+    cfg_path = _write_demo_files(tmp_path)
+    weights, _ = tensorio.load_weights_dir(tmp_path / "weights")
+    tensorio.save_weights_dir(tmp_path / "weights", weights, {}, dtype="f32")
+    blob = tmp_path / "weights" / "weights.bin"
+    # The last f32 word of the file is the last word of the last tensor.
+    blob.write_bytes(blob.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
+    assert res.exit_code == 3, res.output
+    assert "io error:" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_profile_then_fit(runner, tmp_path):

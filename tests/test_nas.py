@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from mpcadapter.costmodel import PUBLISHED_WAN
-from mpcadapter.nas import (Controller, CommandEvaluator, EvaluatorError,
-                            ExhaustiveController, SearchSpace, SearchTargets,
-                            TableEvaluator, brute_force_search, demo_evaluator,
+from mpcadapter.nas import (DEMO_TABLE, Controller, CommandEvaluator,
+                            EvaluatorError, ExhaustiveController, SearchSpace,
+                            SearchTargets, TableEvaluator, brute_force_search,
                             latency_model_fn, nas_search)
 
 LAT = latency_model_fn(PUBLISHED_WAN)
 SPACE = SearchSpace(heads=(1, 2, 4), ranks=(4, 8, 12, 16), s_max=3)
+
+
+def demo_evaluator():
+    return TableEvaluator.from_csv(DEMO_TABLE)
 
 
 def table_fn(h, r, s):
@@ -141,6 +145,13 @@ def test_command_evaluator_failure(tmp_path):
         CommandEvaluator([sys.executable, str(script)])(1, 4, 1)
 
 
+def test_command_evaluator_that_cannot_start(tmp_path):
+    """A command that cannot be run is an evaluator error, as is one that
+    exits non-zero."""
+    with pytest.raises(EvaluatorError, match="cannot start"):
+        CommandEvaluator([str(tmp_path / "no_such_cmd")])(1, 4, 1)
+
+
 # ---------------------------------------------------------------------------
 # brute force oracle
 
@@ -151,7 +162,7 @@ def test_brute_force_hand_enumeration():
     targets = SearchTargets(utility=0.6, latency_s=10.0, patience=5)
     got = brute_force_search(targets, LAT, space, table)
     # (1,8,1) and (2,8,1) meet the target; (1,8) is cheaper
-    assert got.config_tuple == (1, 8, 1)
+    assert (got.h, got.r, got.s) == (1, 8, 1)
     assert got.utility == 0.7
 
 
@@ -166,7 +177,7 @@ def test_brute_force_vacuous_utility_target():
     targets = SearchTargets(utility=1e-9, latency_s=10.0, patience=5)
     got = brute_force_search(targets, LAT, SPACE, demo_evaluator())
     lats = [LAT(h, r, s) for h, r, s in SPACE.configs()]
-    assert LAT(*got.config_tuple) == pytest.approx(min(lats))
+    assert LAT(got.h, got.r, got.s) == pytest.approx(min(lats))
 
 
 def test_brute_force_fallback_to_max_utility():
@@ -191,7 +202,7 @@ def _targets(**kw):
 def test_search_degenerate_space():
     space = SearchSpace(heads=(1,), ranks=(8,), s_max=1)
     got = nas_search(_targets(utility=0.6), LAT, space, demo_evaluator(), seed=0)
-    assert got.config_tuple == (1, 8, 1)
+    assert (got.h, got.r, got.s) == (1, 8, 1)
     assert len(got.evaluations) == 1
 
 
@@ -200,7 +211,7 @@ def test_search_exhaustive_matches_brute_force():
     ctrl = ExhaustiveController(SPACE.valid_pairs(),
                                order_key=lambda p: LAT(p[0], p[1], 1))
     got = nas_search(_targets(), LAT, SPACE, demo_evaluator(), controller=ctrl)
-    assert got.config_tuple == oracle.config_tuple
+    assert (got.h, got.r, got.s) == (oracle.h, oracle.r, oracle.s)
     assert got.utility == oracle.utility
 
 
@@ -216,7 +227,7 @@ def test_search_fallback_returns_best_seen():
     got = nas_search(targets, LAT, SPACE, demo_evaluator(), seed=2)
     assert got.feasible
     assert got.utility < 0.999
-    assert LAT(*got.config_tuple) <= targets.latency_s
+    assert LAT(got.h, got.r, got.s) <= targets.latency_s
 
 
 def test_search_escalation_rule_skips_costly_pairs():

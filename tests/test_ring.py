@@ -40,6 +40,8 @@ def test_headroom_guard():
     with pytest.raises(RingOverflowError):
         encode_fixed(2.0 ** 47)
     encode_fixed(2.0 ** 45)  # within headroom
+    with pytest.raises(RingOverflowError):
+        encode_fixed([1.0, np.nan])
 
 
 @settings(max_examples=300, deadline=None)
