@@ -8,16 +8,16 @@ and peer failure to its exit code and message prefix.
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import costmodel, nas, tensorio
-from .nn import (AdapterConfig, ConfigMismatchError, derived_rng,
-                 inference_party, pipeline_forward_float, private_inference,
-                 random_features, random_weights, weight_names, weight_shape,
+from .nn import (AdapterConfig, ConfigMismatchError, PartyInputError,
+                 derived_rng, inference_party, pipeline_forward_float,
+                 private_inference, random_features, random_weights,
                  weights_to_float)
 from .runtime import (ENVS, WAN, ChannelError, NetworkEnv, merge_meters,
                       simulate_latency, tcp_channel)
@@ -28,7 +28,7 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = {
-    "adapter": {"h", "r", "s", "scaler", "d_model", "n_tokens", "n_classes"},
+    "adapter": {f.name for f in fields(AdapterConfig)},
     "env": {"label", "bandwidth_mbps", "latency_ms"},
     "paths": {"weights_dir", "features_file", "utility_table", "output_dir"},
 }
@@ -117,6 +117,7 @@ FAILURES = {
     OSError: (3, "io error"),
     tensorio.TensorFormatError: (3, "io error"),
     costmodel.CsvFormatError: (3, "io error"),
+    PartyInputError: (3, "io error"),
     ConfigMismatchError: (4, "protocol error"),
     ChannelError: (4, "transport error"),
 }
@@ -169,27 +170,11 @@ def _int_lists(count: int):
     return parse
 
 
-def _load_features(path, config: AdapterConfig) -> list:
+def _load_features(path) -> list:
+    """A rank-3 file holds k features, any other file one;
+    ``inference_party`` checks their shapes."""
     arr = tensorio.load_tensor_file(path, dtype="f32")
-    if arr.ndim == 2:
-        arr = arr[None, ...]
-    want = (config.n_tokens, config.d_model)
-    if arr.ndim != 3 or arr.shape[1:] != want:
-        raise tensorio.TensorFormatError(
-            f"features must be {want} or [k, *{want}], got {arr.shape}")
-    return [tensorio.tensor_as_fixed(a) for a in arr]
-
-
-def _load_weights(path, config: AdapterConfig) -> dict:
-    weights, _ = tensorio.load_weights_dir(path)
-    want = {n: weight_shape(config, n) for n in weight_names(config)}
-    got = {n: t.shape for n, t in weights.items()}
-    bad = {n: (got.get(n), want.get(n)) for n in sorted(want.keys() | got.keys())
-           if got.get(n) != want.get(n)}
-    if bad:
-        raise tensorio.TensorFormatError(
-            f"weights do not match the adapter config (name: shape, expected): {bad}")
-    return weights
+    return [tensorio.tensor_as_fixed(a) for a in (arr if arr.ndim == 3 else [arr])]
 
 
 @main.command()
@@ -203,27 +188,27 @@ def infer(ctx, role, addr):
     rc = load_run_config(ctx.obj["config_path"], ctx.obj["seed"])
     config = rc.adapter
 
-    def load(what, loader):
+    def path(what):
         if not rc.paths.get(what):
             raise ConfigError(f"paths.{what} is required for infer")
-        return loader(rc.paths[what], config)
+        return rc.paths[what]
 
     weights = features = None
     if role != "0":
-        weights = load("weights_dir", _load_weights)
+        weights, _ = tensorio.load_weights_dir(path("weights_dir"))
     if role != "1":
-        features = load("features_file", _load_features)
+        features = _load_features(path("features_file"))
 
     t0, total = time.perf_counter(), None
     if role is None:
         result, meters = private_inference(config, weights, features, rc.seed)
         meter, total = meters[0], merge_meters(*meters)
     else:
+        protocol = inference_party(int(role), config, rc.seed, weights, features)
         try:
             channel = tcp_channel(int(role), *addr)
             try:
-                result = inference_party(int(role), config, rc.seed, weights,
-                                         features)(channel)
+                result = protocol(channel)
             finally:
                 channel.end.close()
         except OSError as e:

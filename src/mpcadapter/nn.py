@@ -29,7 +29,8 @@ returns its logit shares).
 """
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,9 +41,9 @@ from .sharing import (PartyDealer, ltz, matmul_beaver_many, mul_beaver_many,
                       party_dealer, share_arith, truncate_share)
 
 # Inverse-sqrt polynomial coefficients (low -> high degree), minimax in
-# relative error.  The round budget caps the norm at a cubic (3-round
-# budget) or affine (2-round budget) polynomial of the variance, so the
-# usable window is limited:
+# relative error.  Degree k costs the norm 1 + ceil(log2(k + 1)) rounds, so
+# the adapter norms take a cubic (3 rounds) and the tail norm an affine
+# polynomial (2 rounds) of the variance, and the usable window is limited:
 #   cubic:  fit on var in [1/3, 3], max relative error 3.8%
 #   affine: fit on var in [0.41, 2.45], max relative error 13.9%
 # Outside the window the error grows quickly; weight initialization keeps
@@ -59,16 +60,9 @@ RSQRT_AFFINE_WINDOW = (0.4083, 2.4490)
 PROTOCOL_REVISION = 2
 
 
-def rsqrt_poly(budget: int):
-    if budget == 3:
-        return RSQRT_CUBIC
-    if budget == 2:
-        return RSQRT_AFFINE
-    raise ValueError(f"norm round budget must be 2 or 3, got {budget}")
-
-
 @dataclass(frozen=True)
 class AdapterConfig:
+    """The adapter both parties agree on; each field enters the handshake."""
     h: int = 1
     r: int = 8
     s: int = 1
@@ -78,6 +72,11 @@ class AdapterConfig:
     n_classes: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.h < 1 or self.r < 1 or self.s < 1:
             raise ValueError("h, r, s must all be >= 1")
         if self.r % self.h:
@@ -96,47 +95,41 @@ class AdapterConfig:
         return 2 * self.r
 
     def digest_words(self, extra=()) -> np.ndarray:
-        fields = (PROTOCOL_REVISION, self.h, self.r, self.s,
-                  int(round(self.scaler * DEFAULT_CONFIG.scale)),
-                  self.d_model, self.n_tokens, self.n_classes) + tuple(extra)
-        return np.array(fields, dtype=np.uint64)
+        """The protocol revision, every field in order (reals at scale 2^f),
+        then ``extra``."""
+        scale = lambda f: DEFAULT_CONFIG.scale if f.type is float else 1
+        words = [int(round(getattr(self, f.name) * scale(f))) for f in fields(self)]
+        return np.array([PROTOCOL_REVISION, *words, *extra], dtype=np.uint64)
 
 
-def adapter_weight_shapes(config: AdapterConfig) -> dict:
+def weight_shapes(config: AdapterConfig) -> dict:
+    """Every weight's name and shape, in the order weights are drawn and set up."""
     d, r, n, m = config.d_model, config.r, config.n_tokens, config.mlp_dim
-    return {
+    adapter = {
         "down": (d, r), "wq": (r, r), "wk": (r, r), "wv": (r, r),
         "wl": (n, n), "attn_out": (r, r), "up": (r, d),
         "fc1": (r, m), "fc2": (m, r),
         "ln1.gain": (r,), "ln1.bias": (r,),
         "ln2.gain": (r,), "ln2.bias": (r,),
     }
+    return {**{f"adapter{i}.{k}": v for i in range(config.s) for k, v in adapter.items()},
+            "final.gain": (d,), "final.bias": (d,), "classifier": (d, config.n_classes)}
 
 
 def weight_names(config: AdapterConfig) -> list:
-    names = []
-    for i in range(config.s):
-        names += [f"adapter{i}.{k}" for k in adapter_weight_shapes(config)]
-    names += ["final.gain", "final.bias", "classifier"]
-    return names
+    return list(weight_shapes(config))
 
 
 def weight_shape(config: AdapterConfig, name: str):
-    if name == "classifier":
-        return (config.d_model, config.n_classes)
-    if name in ("final.gain", "final.bias"):
-        return (config.d_model,)
-    _, key = name.split(".", 1)
-    return adapter_weight_shapes(config)[key]
+    return weight_shapes(config)[name]
 
 
 def random_weights(config: AdapterConfig, rng) -> dict:
     """Random adapter weights, scaled so LayerNorm inputs keep variance
     near 1 (the inverse-sqrt window)."""
-    d, r, n = config.d_model, config.r, config.n_tokens
+    n = config.n_tokens
     out = {}
-    for name in weight_names(config):
-        shape = weight_shape(config, name)
+    for name, shape in weight_shapes(config).items():
         if name.endswith(".gain"):
             vals = 1.0 + 0.05 * rng.standard_normal(shape)
         elif name.endswith(".bias"):
@@ -279,31 +272,24 @@ def relu_private(ctx, x):
     return ctx.relu(x)
 
 
-def layernorm_private(ctx, x, gain, bias, round_budget: int = 3):
-    """LayerNorm over the last axis in ``round_budget`` rounds, on any
-    backend.
-
-    The inverse square root of the variance is a public-coefficient
-    polynomial (cubic at budget 3, affine at budget 2), evaluated with the
-    multiplies arranged so every round is one batched exchange:
-      round 1: centered squares and gain*centered
-      round 2: v*v and (gain*centered)*v        (budget 3 only)
-      round 3: remaining cubic terms            (budget 2: this is round 2)
-    """
-    coeffs = rsqrt_poly(round_budget)
+def layernorm_private(ctx, x, gain, bias, coeffs):
+    """LayerNorm over the last axis on any backend; the inverse square root
+    of the variance v is the public polynomial ``coeffs`` (low -> high).
+    Round 1 takes the centered squares and gain*centered.  Each later round
+    multiplies every term so far by the current power of v and, but for the
+    last, squares that power: a cubic takes 3 rounds, an affine 2."""
     xc = x - _row_mean(ctx, x)
     sq_raw, gx_raw = ctx.mul_many([(xc, xc), (gain, xc)], "ln-var")
-    v = _row_mean(ctx, ctx.truncate(sq_raw))
-    gx = ctx.truncate(gx_raw)
-
-    if round_budget == 2:
-        (gxv_raw,) = ctx.mul_many([(gx, v)], "ln-apply")
-        terms = [gx, ctx.truncate(gxv_raw)]
-    else:
-        v2_raw, gxv_raw = ctx.mul_many([(v, v), (gx, v)], "ln-pow")
-        v2, gxv = ctx.truncate(v2_raw), ctx.truncate(gxv_raw)
-        gxv2_raw, gxv3_raw = ctx.mul_many([(gx, v2), (gxv, v2)], "ln-apply")
-        terms = [gx, gxv, ctx.truncate(gxv2_raw), ctx.truncate(gxv3_raw)]
+    power = _row_mean(ctx, ctx.truncate(sq_raw))
+    terms = [ctx.truncate(gx_raw)]
+    while len(terms) < len(coeffs):
+        pairs = [(t, power) for t in terms]
+        if 2 * len(terms) >= len(coeffs):
+            raw = ctx.mul_many(pairs, "ln-apply")
+        else:
+            power_raw, *raw = ctx.mul_many([(power, power), *pairs], "ln-pow")
+            power = ctx.truncate(power_raw)
+        terms += [ctx.truncate(r) for r in raw]
 
     out = bias
     for c, t in zip(coeffs, terms):
@@ -342,14 +328,14 @@ def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,
     for any (h, r)."""
     g = lambda k: w[prefix + k]
     u = linear_private(ctx, x, g("down"))
-    ln1 = layernorm_private(ctx, u, g("ln1.gain"), g("ln1.bias"), round_budget=3)
+    ln1 = layernorm_private(ctx, u, g("ln1.gain"), g("ln1.bias"), RSQRT_CUBIC)
     q = linear_private(ctx, ln1, g("wq"))
     k = linear_private(ctx, ln1, g("wk"))
     v = linear_private(ctx, ln1, g("wv"))
     att = linatten_private(ctx, _split_heads(q, config), _split_heads(k, config),
                            _split_heads(v, config), g("wl"))
     a = u + linear_private(ctx, _merge_heads(att), g("attn_out"))
-    ln2 = layernorm_private(ctx, a, g("ln2.gain"), g("ln2.bias"), round_budget=3)
+    ln2 = layernorm_private(ctx, a, g("ln2.gain"), g("ln2.bias"), RSQRT_CUBIC)
     m = relu_private(ctx, linear_private(ctx, ln2, g("fc1")))
     z = a + linear_private(ctx, m, g("fc2"))
     return x + ctx.truncate(linear_private(ctx, z, g("up")) * ctx.public(config.scaler))
@@ -361,7 +347,7 @@ def pipeline_forward_private(ctx, x, w: dict, config: AdapterConfig):
     for i in range(config.s):
         x = adapter_forward_private(ctx, x, w, config, prefix=f"adapter{i}.")
     normed = layernorm_private(ctx, x[0:1, :], w["final.gain"], w["final.bias"],
-                               round_budget=2)
+                               RSQRT_AFFINE)
     return linear_private(ctx, normed, w["classifier"]).reshape(-1)
 
 
@@ -385,6 +371,10 @@ def pipeline_forward_float(x: np.ndarray, w: dict, config: AdapterConfig) -> np.
 
 class ConfigMismatchError(RuntimeError):
     pass
+
+
+class PartyInputError(ValueError):
+    """A party's own input does not fit the adapter config."""
 
 
 _SEED_TAGS = {"dealer": 0, "features": 1, "weights": 2, "inputs": 3}
@@ -423,18 +413,18 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
         raise ConfigMismatchError(f"peer declares {n_inputs} inputs, more than a "
                                   f"{MAX_INPUT_FRAME_BYTES}-byte setup frame holds")
 
-    names = weight_names(config)
+    shapes = weight_shapes(config)
     if pid == 0:
         frng = derived_rng(seed, "features")
         shares = [share_arith(t.data, frng) for t in features]
         channel.exchange("setup", [s1 for _, s1 in shares], [])
         inputs = [s0 for s0, _ in shares]
-        wlist = [np.zeros(weight_shape(config, n), np.uint64) for n in names]
+        wshares = {n: np.zeros(shape, np.uint64) for n, shape in shapes.items()}
     else:
         inputs = channel.exchange("setup", [],
                                   [(config.n_tokens, config.d_model)] * n_inputs)
-        wlist = [weights[n].data for n in names]
-    return inputs, dict(zip(names, wlist))
+        wshares = {n: weights[n].data for n in shapes}
+    return inputs, wshares
 
 
 def _online(ctx: PartyContext, inputs: list, wshares: dict, config: AdapterConfig):
@@ -464,16 +454,26 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
     """Build the protocol closure for one party: party 0 holds the features
     (model user), party 1 the adapter weights (service provider).  The
     closure runs the setup, online and result phases in order; setup and
-    result have their own meter labels, so the pipeline ledger stays clean."""
-    if party_id == 0 and features is None:
-        raise ValueError("party 0 needs the feature tensors")
-    if party_id == 1 and weights is None:
-        raise ValueError("party 1 needs the weights")
-    # Outside input: party 0 holds zeros at these shapes, so a weight of
-    # another shape would put the parties' shares and dealer draws out of step.
-    if party_id == 1 and any(weights[n].shape != weight_shape(config, n)
-                             for n in weight_names(config)):
-        raise ValueError("weights do not match the adapter config's shapes")
+    result have their own meter labels, so the pipeline ledger stays clean.
+    Input of other names or shapes than the peer assumes would put shares
+    and dealer draws out of step, so it raises PartyInputError here."""
+    if party_id == 0:
+        if features is None:
+            raise PartyInputError("party 0 needs the feature tensors")
+        want = (config.n_tokens, config.d_model)
+        bad = [t.shape for t in features if t.shape != want]
+        if bad:
+            raise PartyInputError(f"features must be {want}, got {bad[0]}")
+    else:
+        if weights is None:
+            raise PartyInputError("party 1 needs the weights")
+        want = weight_shapes(config)
+        got = {n: t.shape for n, t in weights.items()}
+        bad = {n: (got.get(n), want.get(n)) for n in sorted(want.keys() | got.keys())
+               if got.get(n) != want.get(n)}
+        if bad:
+            raise PartyInputError("weights do not match the adapter config's "
+                                  f"names and shapes (name: shape, expected): {bad}")
 
     def protocol(channel: Channel):
         dealer_seed = int(derived_rng(seed, "dealer").integers(1 << 62))

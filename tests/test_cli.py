@@ -133,8 +133,10 @@ def test_infer_missing_weights(runner, tmp_path):
     assert "nope" in res.output
 
 
-@pytest.mark.parametrize("shape", [(2, 8, 16), (2, 4, 32), (4, 32)],
-                         ids=["d_model", "n_tokens", "rank-2 n_tokens"])
+@pytest.mark.parametrize("shape", [(2, 8, 16), (2, 4, 32), (4, 32), (), (32,),
+                                   (1, 2, 8, 32)],
+                         ids=["d_model", "n_tokens", "rank-2 n_tokens", "rank-0",
+                              "rank-1", "rank-4"])
 def test_infer_rejects_features_of_another_shape(runner, tmp_path, shape):
     cfg_path = _write_demo_files(tmp_path)
     feats = np.zeros(shape, np.float32)
@@ -157,6 +159,18 @@ def test_infer_rejects_weights_of_another_config(runner, tmp_path, other):
     assert res.exit_code == 3, res.output
     assert "io error: weights do not match the adapter config" in res.output
     assert not (tmp_path / "out").exists()
+
+
+def test_infer_role1_rejects_weights_before_connecting(runner, tmp_path, monkeypatch):
+    """Party 1's weights for another config exit 3 without a connect."""
+    cfg_path = _write_demo_files(tmp_path, config=AdapterConfig(r=16))
+    doc = json.loads(cfg_path.read_text())
+    doc["adapter"]["r"] = 8
+    cfg_path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "tcp_channel", None)
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer", "--role", "1"])
+    assert res.exit_code == 3, res.output
+    assert "io error: weights do not match the adapter config" in res.output
 
 
 def _drop(doc: dict, key: str) -> dict:
@@ -315,9 +329,12 @@ def test_infer_as_two_processes(runner, tmp_path, party0_h, code):
     None,
     {"seed": 1.7},
     {"paths": {"weights_dir": 5}},
+    {"adapter": {"h": 1.5, "r": 3}},
+    {"adapter": {"h": True}},
+    {"adapter": {"d_model": 32.0}},
 ], ids=["unknown-key", "zero-bandwidth", "negative-latency", "bandwidth-not-a-number",
         "seed-not-a-number", "null-document", "seed-not-an-integer",
-        "path-not-a-string"])
+        "path-not-a-string", "h-not-an-integer", "h-bool", "d_model-real"])
 def test_bad_config_is_usage_error(runner, tmp_path, doc):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

@@ -1,5 +1,6 @@
 """Every imported name is used: a stdlib-only stand-in for a linter's
-unused-import check over the package and the tests."""
+unused-import check over the package, the tests and the benchmark, whose
+files are only read."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "mpcadapter").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+FILES = [path for d in ("src/mpcadapter", "tests", "inferbench")
+         for path in sorted((ROOT / d).glob("*.py"))]
 
 
 def _exported(tree) -> set:

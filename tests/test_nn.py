@@ -10,14 +10,14 @@ from protocol_helpers import run_protocol
 from mpcadapter.nn import _setup
 from mpcadapter.nn import (PROTOCOL_REVISION, RSQRT_AFFINE, RSQRT_AFFINE_WINDOW,
                            RSQRT_CUBIC, RSQRT_CUBIC_WINDOW, AdapterConfig,
-                           ConfigMismatchError, PartyContext, PlainContext,
-                           adapter_forward_private, derived_rng,
+                           ConfigMismatchError, PartyContext, PartyInputError,
+                           PlainContext, adapter_forward_private, derived_rng,
                            inference_party, layernorm_private,
                            linatten_private, linear_private,
                            pipeline_forward_float, pipeline_forward_plain,
                            private_inference, random_features, random_weights,
-                           relu_private, rsqrt_poly, weight_names,
-                           weight_shape, weights_to_float)
+                           relu_private, weight_names, weight_shape,
+                           weights_to_float)
 from mpcadapter.ring import (DEFAULT_CONFIG, FixedTensor, RingOverflowError,
                             decode_fixed, encode_fixed)
 from mpcadapter.runtime import in_process_pair, run_two_party
@@ -44,6 +44,26 @@ def test_config_validation():
     cfg = AdapterConfig(h=2, r=8, s=2)
     assert cfg.head_dim == 4
     assert cfg.mlp_dim == 16
+
+
+@pytest.mark.parametrize("fields", [{"h": 1.5, "r": 3}, {"h": True}, {"d_model": 32.0},
+                                    {"scaler": False}, {"scaler": "0.5"}],
+                         ids=["h-real", "h-bool", "d_model-real", "scaler-bool",
+                              "scaler-str"])
+def test_config_field_types(fields):
+    with pytest.raises(TypeError):
+        AdapterConfig(**fields)
+
+
+def test_digest_words_golden():
+    """The handshake words: revision, then every field in declaration
+    order, the scaler at scale 2^16.  Numpy integers and an integer scaler
+    are valid fields."""
+    assert AdapterConfig().digest_words().tolist() == [2, 1, 8, 1, 32768, 32, 8, 10]
+    paper = AdapterConfig(h=8, r=64, s=4, d_model=768, n_tokens=128)
+    assert paper.digest_words().tolist() == [2, 8, 64, 4, 32768, 768, 128, 10]
+    cfg = AdapterConfig(h=np.int64(2), r=np.int32(8), scaler=1)
+    assert cfg.digest_words().tolist() == [2, 2, 8, 1, 65536, 32, 8, 10]
 
 
 def test_weight_inventory():
@@ -99,13 +119,6 @@ def test_rsqrt_affine_wide_range():
     v = np.linspace(0.1, 10.0, 5000)
     rel = np.abs(_poly_eval(RSQRT_AFFINE, v) * np.sqrt(v) - 1.0)
     assert rel.max() <= 0.15
-
-
-def test_rsqrt_budget_dispatch():
-    assert rsqrt_poly(3) == RSQRT_CUBIC
-    assert rsqrt_poly(2) == RSQRT_AFFINE
-    with pytest.raises(ValueError):
-        rsqrt_poly(4)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +256,7 @@ def test_layernorm_constant_row_is_bias(rng):
     gs, bs = share_arith(gain, rng), share_arith(bias, rng)
 
     def fn(ctx, pid):
-        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], 3)
+        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], RSQRT_CUBIC)
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
@@ -258,7 +271,7 @@ def test_layernorm_unit_variance_row(rng):
     xs, gs, bs = share_arith(x, rng), share_arith(gain, rng), share_arith(bias, rng)
 
     def fn(ctx, pid):
-        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], 3)
+        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], RSQRT_CUBIC)
 
     out0, out1, _ = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
@@ -266,9 +279,12 @@ def test_layernorm_unit_variance_row(rng):
     assert np.max(np.abs(got - [[1.0, -1.0]])) <= 0.05
 
 
-@pytest.mark.parametrize("budget,rounds", [(3, 3), (2, 2)])
-def test_layernorm_matches_float_twin(rng, budget, rounds):
-    lo, hi = RSQRT_CUBIC_WINDOW if budget == 3 else RSQRT_AFFINE_WINDOW
+@pytest.mark.parametrize("coeffs,window,rounds", [
+    (RSQRT_CUBIC, RSQRT_CUBIC_WINDOW, 3),
+    (RSQRT_AFFINE, RSQRT_AFFINE_WINDOW, 2),
+], ids=["cubic", "affine"])
+def test_layernorm_matches_float_twin(rng, coeffs, window, rounds):
+    lo, hi = window
     d = 16
     rows = rng.standard_normal((6, d))
     # rescale each row so its variance lies inside the polynomial window
@@ -281,12 +297,12 @@ def test_layernorm_matches_float_twin(rng, budget, rounds):
     xs, gs, bs = share_arith(x, rng), share_arith(gain, rng), share_arith(bias, rng)
 
     def fn(ctx, pid):
-        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], budget)
+        return layernorm_private(ctx, xs[pid], gs[pid], bs[pid], coeffs)
 
     out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
     got = decode_fixed(out0 + out1)
     want = reference.layernorm_float(decode_fixed(x), decode_fixed(gain),
-                                     decode_fixed(bias), budget)
+                                     decode_fixed(bias), coeffs)
     assert np.max(np.abs(got - want)) <= 1e-3
     assert m0.rounds == rounds
 
@@ -598,12 +614,31 @@ def test_peer_at_another_revision_is_config_mismatch(peer_digest, message):
         run_two_party(inference_party(0, config, 0, features=feats), peer, timeout=5)
 
 
-def test_weights_of_other_shapes_rejected():
+@pytest.mark.parametrize("edit", [
+    lambda w: w | {"adapter0.down": FixedTensor.from_real(np.zeros((8, 32)))},
+    lambda w: {n: t for n, t in w.items() if n != "classifier"},
+    lambda w: w | {"adapter1.down": w["adapter0.down"]},
+], ids=["wrong-shape", "missing-name", "extra-name"])
+def test_weights_of_other_shapes_rejected(edit):
+    """Party 1's weights must be exactly the config's names and shapes."""
+    config = AdapterConfig(h=1, r=8)
+    weights = edit(random_weights(config, derived_rng(0, "weights")))
+    with pytest.raises(PartyInputError, match="shapes"):
+        inference_party(1, config, 0, weights=weights)
+
+
+def test_features_of_another_shape_rejected(monkeypatch):
+    """A feature of another shape fails in ``inference_party``, before any
+    channel exists, not at the peer after the handshake."""
     config = AdapterConfig(h=1, r=8)
     weights = random_weights(config, derived_rng(0, "weights"))
-    weights["adapter0.down"] = FixedTensor.from_real(np.zeros((8, 32)))
-    with pytest.raises(ValueError, match="shapes"):
-        inference_party(1, config, 0, weights=weights)
+    feats = [random_features(config, derived_rng(0, "inputs")),
+             FixedTensor.from_real(np.zeros((7, 32)))]
+    monkeypatch.setattr("mpcadapter.nn.run_two_party", None)
+    for call in (lambda: inference_party(0, config, 0, features=feats),
+                 lambda: private_inference(config, weights, feats, seed=0)):
+        with pytest.raises(PartyInputError, match=r"features must be \(8, 32\), got \(7, 32\)"):
+            call()
 
 
 def test_config_mismatch_detected():
