@@ -37,8 +37,8 @@ import numpy as np
 from . import kernels
 from .ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed, truncate
 from .runtime import Channel, PayloadSizeError, run_two_party
-from .sharing import (PartyDealer, ltz, matmul_beaver_many, mul_beaver_many,
-                      party_dealer, share_arith, truncate_share)
+from .sharing import (TripleDealer, ltz, matmul_beaver_many, mul_beaver_many,
+                      share_arith, truncate_share)
 
 # Inverse-sqrt polynomial coefficients (low -> high degree), minimax in
 # relative error.  Degree k costs the norm 1 + ceil(log2(k + 1)) rounds, so
@@ -183,20 +183,17 @@ class PartyContext:
     constant is its fixed-point word, which multiplies either share.
     """
     channel: Channel
-    dealer: PartyDealer
+    dealer: TripleDealer
     public = staticmethod(_encode_public)
 
     def truncate(self, x: np.ndarray, extra_bits: int = 0) -> np.ndarray:
         return truncate_share(x, self.channel.party_id, extra_bits)
 
     def mul_many(self, pairs, label: str) -> list:
-        triples = [self.dealer.arith_triple(x.shape, y.shape) for x, y in pairs]
-        return mul_beaver_many(pairs, triples, self.channel, label=label)
+        return mul_beaver_many(pairs, self.dealer, self.channel, label)
 
     def matmul(self, x: np.ndarray, w: np.ndarray, label: str) -> np.ndarray:
-        triple = self.dealer.matmul_triple(x.shape, w.shape)
-        (raw,) = matmul_beaver_many([(x, w)], [triple], self.channel, label=label)
-        return raw
+        return matmul_beaver_many([(x, w)], self.dealer, self.channel, label)[0]
 
     def relu(self, x: np.ndarray) -> np.ndarray:
         """Sign extraction (8 rounds) plus one multiply computing x - b*x."""
@@ -299,12 +296,12 @@ def layernorm_private(ctx, x, gain, bias, coeffs):
 
 def _split_heads(x, config: AdapterConfig):
     n, r = x.shape
-    return np.ascontiguousarray(x.reshape(n, config.h, config.head_dim).transpose(1, 0, 2))
+    return x.reshape(n, config.h, config.head_dim).transpose(1, 0, 2)
 
 
 def _merge_heads(x):
     h, n, dh = x.shape
-    return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(n, h * dh))
+    return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
 def linatten_private(ctx, q, k, v, wl):
@@ -315,10 +312,8 @@ def linatten_private(ctx, q, k, v, wl):
     and there is no comparison, Softmax, or division.
     """
     h, n, dh = q.shape
-    kt = np.ascontiguousarray(k.transpose(0, 2, 1))
-    scores = ctx.truncate(ctx.matmul(q, kt, "atten-qk"))  # [h, N, N]
-    wl_b = np.ascontiguousarray(np.broadcast_to(wl, (h, n, n)))
-    mixed = linear_private(ctx, wl_b, scores)
+    scores = ctx.truncate(ctx.matmul(q, k.transpose(0, 2, 1), "atten-qk"))  # [h, N, N]
+    mixed = linear_private(ctx, np.broadcast_to(wl, (h, n, n)), scores)
     return ctx.truncate(ctx.matmul(mixed, v, "atten-av"))
 
 
@@ -477,7 +472,7 @@ def inference_party(party_id: int, config: AdapterConfig, seed: int,
 
     def protocol(channel: Channel):
         dealer_seed = int(derived_rng(seed, "dealer").integers(1 << 62))
-        ctx = PartyContext(channel, party_dealer(dealer_seed, party_id))
+        ctx = PartyContext(channel, TripleDealer(dealer_seed, party_id))
         inputs, wshares = _setup(ctx, config, seed, weights, features)
         logits, rounds = _online(ctx, inputs, wshares, config)
         return _result(ctx, logits, rounds)

@@ -3,8 +3,10 @@
 Both share kinds are plain u64 word arrays: arithmetic shares are
 additive mod 2^64, binary shares XOR-share each bit; every protocol
 returns arrays, 0-d for a 0-d share (numpy turns a ufunc's 0-d result into
-a scalar, whose arithmetic warns on the wrap mod 2^64).  Multiplication
-uses precomputed Beaver triples.  The dealer is not yet a third party:
+a scalar, whose arithmetic warns on the wrap mod 2^64).  Every protocol
+takes its operands, this party's dealer view and its channel, and draws
+the Beaver triples or input pairs that its operands' shapes call for; no
+other module draws from the dealer.  The dealer is not yet a third party:
 each party builds its own view of it from a seed both parties know, so
 either party can regenerate every triple and unmask the peer's openings.
 The engine is therefore not yet private against its peer.  The views
@@ -86,8 +88,8 @@ class TripleDealer:
     and AND in the binary ring.  Party 0's view skips the words it does not
     need and never computes the product.  Words a view takes back to back
     come from one draw.  Each method checks shapes before drawing and
-    returns a pair indexed by party id, ``None`` in the other slot;
-    ``party_dealer`` wraps the view for protocol code.
+    returns a pair indexed by party id, ``None`` in the other slot; the
+    protocols below draw from the view and index their own slot.
     """
 
     def __init__(self, seed: int, party_id: int):
@@ -136,34 +138,6 @@ class TripleDealer:
         return self._input_pair(shape, np.bitwise_and, BINARY)
 
 
-class PartyDealer:
-    """A party's dealer view as protocol code uses it: its own share only."""
-
-    def __init__(self, dealer: TripleDealer):
-        self._dealer = dealer
-        self.party_id = dealer.party_id
-
-    def arith_triple(self, shape_x, shape_y=None):
-        return self._dealer.arith_triple(shape_x, shape_y)[self.party_id]
-
-    def matmul_triple(self, shape_a, shape_b):
-        return self._dealer.matmul_triple(shape_a, shape_b)[self.party_id]
-
-    def bin_triple(self, shape):
-        return self._dealer.bin_triple(shape)[self.party_id]
-
-    def arith_input_pair(self, shape):
-        return self._dealer.arith_input_pair(shape)[self.party_id]
-
-    def bin_input_pair(self, shape):
-        return self._dealer.bin_input_pair(shape)[self.party_id]
-
-
-def party_dealer(seed: int, party_id: int) -> PartyDealer:
-    """Replica dealer: both parties construct their view from the shared seed."""
-    return PartyDealer(TripleDealer(seed, party_id))
-
-
 # ---------------------------------------------------------------------------
 # sharing
 
@@ -176,21 +150,20 @@ def share_arith(x: np.ndarray, rng) -> tuple:
 # ---------------------------------------------------------------------------
 # multiplication
 
-def _beaver_many(pairs, triples, channel: Channel, label, product, ring):
+def _beaver_many(pairs, draw, channel: Channel, label, product, ring):
     """Beaver products of raw share words, one round for the whole batch.
 
-    Each party opens e = x - a and d = y - b (XOR in the binary ring);
-    then z = c + e*b + a*d, plus e*d on party 0.  Party 0 folds its two
+    ``draw(x, y)`` draws the dealer's triple for operands x and y, a pair
+    indexed by party id; every pair's is drawn, in order, before the round.
+    Each party opens e = x - a and d = y - b (XOR in the binary ring); then
+    z = c + e*b + a*d, plus e*d on party 0.  Party 0 folds its two
     e-products into e*(b + d), which is exact: the product distributes over
     addition mod 2^64, and AND over XOR.
     """
     mask, add = ring
+    triples = [draw(x, y)[channel.party_id] for x, y in pairs]
     msgs = []
-    for (x, y), t in zip(pairs, triples, strict=True):
-        if t.a.shape != x.shape or t.b.shape != y.shape:
-            raise ValueError(
-                f"triple shape {t.a.shape}x{t.b.shape} does not match "
-                f"operands {x.shape}x{y.shape}")
+    for (x, y), t in zip(pairs, triples):
         msgs += [mask(x, t.a), mask(y, t.b)]
     opened = channel.exchange(label, msgs)
     out = []
@@ -218,20 +191,22 @@ def _known_product(own, pair: InputPairShare, channel: Channel, label,
     return np.asarray(add(pair.c, cross)), peer
 
 
-def mul_beaver_many(pairs, triples, channel: Channel,
+def mul_beaver_many(pairs, dealer: TripleDealer, channel: Channel,
                     label: str = "beaver-open"):
     """Batch of elementwise share*share products in one round.
 
     Results are raw ring products (scale 2^2f for two fixed-point inputs);
     callers truncate.
     """
-    return _beaver_many(pairs, triples, channel, label, np.multiply, ARITH)
+    return _beaver_many(pairs, lambda x, y: dealer.arith_triple(x.shape, y.shape),
+                        channel, label, np.multiply, ARITH)
 
 
-def matmul_beaver_many(pairs, triples, channel: Channel,
+def matmul_beaver_many(pairs, dealer: TripleDealer, channel: Channel,
                        label: str = "beaver-open"):
     """Batch of share x share matrix products in one round (raw scale)."""
-    return _beaver_many(pairs, triples, channel, label, kernels.matmul_u64, ARITH)
+    return _beaver_many(pairs, lambda x, y: dealer.matmul_triple(x.shape, y.shape),
+                        channel, label, kernels.matmul_u64, ARITH)
 
 
 def truncate_share(x: np.ndarray, party_id: int, extra_bits: int = 0) -> np.ndarray:
@@ -253,15 +228,17 @@ def truncate_share(x: np.ndarray, party_id: int, extra_bits: int = 0) -> np.ndar
 # ---------------------------------------------------------------------------
 # binary protocols
 
-def and_beaver_many(pairs, triples, channel: Channel, label: str = "beaver-open"):
+def and_beaver_many(pairs, dealer: TripleDealer, channel: Channel,
+                    label: str = "beaver-open"):
     """Batch of bitwise ANDs of XOR-shared u64 words in one round."""
-    return _beaver_many(pairs, triples, channel, label, np.bitwise_and, BINARY)
+    return _beaver_many(pairs, lambda x, y: dealer.bin_triple(x.shape),
+                        channel, label, np.bitwise_and, BINARY)
 
 
 # ---------------------------------------------------------------------------
 # conversions
 
-def a2b(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:
+def a2b(x: np.ndarray, dealer: TripleDealer, channel: Channel) -> np.ndarray:
     """Arithmetic -> binary conversion, 7 rounds; returns this party's XOR words.
 
     Each party XOR-shares its own arithmetic share; because that share is
@@ -270,22 +247,18 @@ def a2b(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:
     product of privately-known inputs).  The two shared summands are then
     added with a Kogge-Stone adder: 6 AND levels for 64 bits.
     """
-    pair = dealer.bin_input_pair(x.shape)
+    pair = dealer.bin_input_pair(x.shape)[channel.party_id]
     # XOR-shares of the summands' generate word g = s0 & s1 and of the
     # propagate word p = s0 ^ s1 (the peer's masked share ^ our mask).
     g, peer = _known_product(x, pair, channel, "a2b-dist",
                              np.bitwise_and, BINARY)
     p = pair.known ^ peer
-
-    def and_fn(op_pairs):
-        triples = [dealer.bin_triple(x.shape) for _ in op_pairs]
-        return and_beaver_many(op_pairs, triples, channel, label="a2b-adder")
-
-    carries = kernels.kogge_stone_carries(p, g, and_fn)
+    carries = kernels.kogge_stone_carries(
+        p, g, lambda op_pairs: and_beaver_many(op_pairs, dealer, channel, "a2b-adder"))
     return np.asarray(p ^ (carries << np.uint64(1)))
 
 
-def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
+def bit_to_arith(bits: np.ndarray, dealer: TripleDealer,
                  channel: Channel) -> np.ndarray:
     """Single-bit XOR shares -> additive shares of the same bit, 1 round.
 
@@ -295,21 +268,22 @@ def bit_to_arith(bits: np.ndarray, pair: InputPairShare,
     """
     if np.any(bits > 1):
         raise ValueError("bit_to_arith expects 0/1-valued shares")
+    pair = dealer.arith_input_pair(np.shape(bits))[channel.party_id]
     prod, _ = _known_product(bits, pair, channel, "bit-open", np.multiply, ARITH)
     return np.asarray(np.subtract(bits, np.uint64(2) * prod))
 
 
-def b2a_full(words: np.ndarray, dealer: PartyDealer,
+def b2a_full(words: np.ndarray, dealer: TripleDealer,
              channel: Channel) -> np.ndarray:
     """Binary -> arithmetic over all 64 bits, batched into one round."""
     shifts = np.arange(RING_BITS, dtype=np.uint64).reshape(
         (RING_BITS,) + (1,) * np.ndim(words))
     planes = (words >> shifts) & np.uint64(1)
-    bit_shares = bit_to_arith(planes, dealer.arith_input_pair(planes.shape), channel)
+    bit_shares = bit_to_arith(planes, dealer, channel)
     return np.asarray(np.sum(bit_shares << shifts, axis=0, dtype=np.uint64))
 
 
-def ltz(x: np.ndarray, dealer: PartyDealer, channel: Channel) -> np.ndarray:
+def ltz(x: np.ndarray, dealer: TripleDealer, channel: Channel) -> np.ndarray:
     """Private sign test: 1 iff x < 0, at integer scale.  8 rounds."""
     msb = a2b(x, dealer, channel) >> np.uint64(RING_BITS - 1)
-    return bit_to_arith(msb, dealer.arith_input_pair(x.shape), channel)
+    return bit_to_arith(msb, dealer, channel)

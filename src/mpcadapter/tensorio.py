@@ -15,6 +15,7 @@ are ring words at that scale.
 
 import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -59,9 +60,18 @@ def read_tensor(buf, dtype: str) -> np.ndarray:
     if version != VERSION:
         raise TensorFormatError(f"unsupported format version {version}")
     shape = struct.unpack(f"<{rank}Q", _read_exact(buf, 8 * rank, "header"))
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    raw = _read_exact(buf, count * DTYPES[dtype].itemsize, "payload")
-    return np.frombuffer(raw, dtype=DTYPES[dtype]).reshape(shape).copy()
+    nbytes = math.prod(shape) * DTYPES[dtype].itemsize
+    here = buf.tell()
+    left = buf.seek(0, io.SEEK_END) - here
+    buf.seek(here)
+    if nbytes > left:
+        raise TensorFormatError(
+            f"truncated tensor payload: dims {shape} need {nbytes} bytes, {left} left")
+    raw = _read_exact(buf, nbytes, "payload")
+    try:
+        return np.frombuffer(raw, dtype=DTYPES[dtype]).reshape(shape).copy()
+    except ValueError as e:
+        raise TensorFormatError(f"tensor dims {shape} not representable: {e}") from None
 
 
 def save_tensor_file(path, array: np.ndarray, dtype: str = "f32"):

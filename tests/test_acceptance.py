@@ -97,7 +97,7 @@ def test_criterion_3_protocol_exactness(report):
     def beaver(pid, ch, dealer):
         xs = (s0, s1)[pid]
         ys = (t0_, t1_)[pid]
-        (z,) = mul_beaver_many([(xs, ys)], [dealer.arith_triple((n,))], ch)
+        (z,) = mul_beaver_many([(xs, ys)], dealer, ch)
         return z
     z0, z1, _ = run_protocol(beaver)
     checks["beaver product"] = np.array_equal(z0 + z1, x * y)
@@ -108,8 +108,7 @@ def test_criterion_3_protocol_exactness(report):
     b0, b1 = share_bin(words_b, rng)
 
     def band(pid, ch, dealer):
-        (z,) = and_beaver_many([((a0, a1)[pid], (b0, b1)[pid])],
-                               [dealer.bin_triple((n,))], ch)
+        (z,) = and_beaver_many([((a0, a1)[pid], (b0, b1)[pid])], dealer, ch)
         return z
     c0, c1, _ = run_protocol(band)
     checks["binary and"] = np.array_equal(c0 ^ c1, words_a & words_b)

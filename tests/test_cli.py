@@ -375,6 +375,18 @@ def test_infer_rejects_non_finite_or_huge_features(runner, tmp_path, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_infer_rejects_features_header_past_end_of_file(runner, tmp_path):
+    """A features header whose dims need more bytes than the file holds is
+    an I/O error (exit 3), not an int64 wrap or a huge allocation."""
+    cfg_path = _write_demo_files(tmp_path)
+    header = tensorio.MAGIC + np.array([1, 2], "<u2").tobytes()
+    (tmp_path / "features.bin").write_bytes(
+        header + np.array([1 << 32, 1 << 32], "<u8").tobytes())
+    res = runner.invoke(main, ["--config", str(cfg_path), "infer"])
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith("io error:") and "Traceback" not in res.output
+
+
 def test_infer_rejects_nan_weight(runner, tmp_path):
     cfg_path = _write_demo_files(tmp_path)
     weights, _ = tensorio.load_weights_dir(tmp_path / "weights")

@@ -21,7 +21,7 @@ from mpcadapter.nn import (PROTOCOL_REVISION, RSQRT_AFFINE, RSQRT_AFFINE_WINDOW,
 from mpcadapter.ring import (DEFAULT_CONFIG, FixedTensor, RingOverflowError,
                             decode_fixed, encode_fixed)
 from mpcadapter.runtime import in_process_pair, run_two_party
-from mpcadapter.sharing import party_dealer, share_arith
+from mpcadapter.sharing import TripleDealer, share_arith
 
 ULP = 2.0 ** -16
 GRID = [(1, 4), (1, 8), (2, 8), (4, 8), (2, 12), (4, 16)]
@@ -186,8 +186,8 @@ _PUBLIC_CONSTANTS = [*RSQRT_CUBIC, *RSQRT_AFFINE, 1 / 8, 1 / 64, 1 / 32, 2 ** 8 
 
 def _public_contexts():
     ch0, ch1 = in_process_pair(1.0)
-    return {"plain": PlainContext(), "party0": PartyContext(ch0, party_dealer(0, 0)),
-            "party1": PartyContext(ch1, party_dealer(0, 1))}
+    return {"plain": PlainContext(), "party0": PartyContext(ch0, TripleDealer(0, 0)),
+            "party1": PartyContext(ch1, TripleDealer(0, 1))}
 
 
 @pytest.mark.parametrize("backend", ["plain", "party0", "party1"])
@@ -576,7 +576,7 @@ def test_weights_enter_as_party1s_own_share():
 
     def party(pid):
         def proto(channel):
-            ctx = PartyContext(channel, party_dealer(0, pid))
+            ctx = PartyContext(channel, TripleDealer(0, pid))
             if pid == 0:
                 return _setup(ctx, config, 7, None, feats)
             return _setup(ctx, config, 7, weights, [])

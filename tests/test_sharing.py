@@ -189,8 +189,12 @@ def test_mul_beaver_hand_example():
     t0 = TripleShare(np.uint64(1), np.uint64(2), np.uint64(2))
     t1 = TripleShare(np.uint64(0), np.uint64(0), np.uint64(0))
 
+    class HandDealer:
+        def arith_triple(self, shape_x, shape_y=None):
+            return t0, t1
+
     def proto(pid, ch, dealer):
-        (z,) = mul_beaver_many([([x0, x1][pid], [y0, y1][pid])], [[t0, t1][pid]], ch)
+        (z,) = mul_beaver_many([([x0, x1][pid], [y0, y1][pid])], HandDealer(), ch)
         return z
 
     out0, out1, (m0, _) = run_protocol(proto)
@@ -205,8 +209,7 @@ def test_mul_beaver_zero_annihilates(rng):
     ys = share_arith(y, rng)
 
     def proto(pid, ch, dealer):
-        t = dealer.arith_triple((10,))
-        (z,) = mul_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        (z,) = mul_beaver_many([(xs[pid], ys[pid])], dealer, ch)
         return z
 
     out0, out1, _ = run_protocol(proto)
@@ -219,8 +222,7 @@ def test_mul_beaver_exact_1000(rng):
     ys = share_arith(yv, rng)
 
     def proto(pid, ch, dealer):
-        t = dealer.arith_triple((1000,))
-        (z,) = mul_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        (z,) = mul_beaver_many([(xs[pid], ys[pid])], dealer, ch)
         return z
 
     out0, out1, (m0, _) = run_protocol(proto)
@@ -233,8 +235,7 @@ def test_truncate_after_mul(rng):
     ys = share_arith(encode_fixed(np.array(2.0)), rng)
 
     def proto(pid, ch, dealer):
-        t = dealer.arith_triple(())
-        (z,) = mul_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        (z,) = mul_beaver_many([(xs[pid], ys[pid])], dealer, ch)
         return truncate_share(z, pid)
 
     out0, out1, _ = run_protocol(proto)
@@ -295,8 +296,7 @@ def test_matmul_beaver_identity(rng):
     bs = share_arith(b, rng)
 
     def proto(pid, ch, dealer):
-        t = dealer.matmul_triple((4, 4), (4, 4))
-        (z,) = matmul_beaver_many([(es[pid], bs[pid])], [t], ch)
+        (z,) = matmul_beaver_many([(es[pid], bs[pid])], dealer, ch)
         return truncate_share(z, pid)
 
     out0, out1, (m0, _) = run_protocol(proto)
@@ -310,8 +310,7 @@ def test_matmul_beaver_vs_plain(rng):
     as_, bs = share_arith(a, rng), share_arith(b, rng)
 
     def proto(pid, ch, dealer):
-        t = dealer.matmul_triple((4, 4), (4, 4))
-        (z,) = matmul_beaver_many([(as_[pid], bs[pid])], [t], ch)
+        (z,) = matmul_beaver_many([(as_[pid], bs[pid])], dealer, ch)
         return truncate_share(z, pid)
 
     out0, out1, _ = run_protocol(proto)
@@ -343,29 +342,26 @@ def test_linear_ring_products_per_party(rng, monkeypatch):
     assert calls == {0: 2, 1: 3}
 
 
-@pytest.mark.parametrize("kind", ["mul", "matmul", "and", "count"])
-def test_beaver_shape_mismatch(kind, rng):
-    """A triple smaller than its operands would broadcast one mask over many
-    words; every Beaver product refuses it, and a pair without a triple,
-    before opening anything."""
-    a = share_arith(encode_fixed(rng.standard_normal((2, 3))), rng)
-    b = share_arith(encode_fixed(rng.standard_normal((2, 3))), rng)
+def test_beaver_draws_its_triple_from_operand_shapes(rng):
+    """A Beaver product asks the dealer for a triple of its operands' own
+    shapes, so a broadcast operand gets a mask of its shape, not one mask
+    broadcast over many words."""
+    xv, vv = _words(rng, (3, 4)), _words(rng, (3, 1))
+    xs, vs = share_arith(xv, rng), share_arith(vv, rng)
+    asked = {0: [], 1: []}
+
+    class RecordingDealer(TripleDealer):
+        def arith_triple(self, shape_x, shape_y=None):
+            asked[self.party_id].append((shape_x, shape_y))
+            return super().arith_triple(shape_x, shape_y)
 
     def proto(pid, ch, dealer):
-        x, y = a[pid], b[pid]
-        with pytest.raises(ValueError):
-            if kind == "mul":
-                mul_beaver_many([(x, y)], [dealer.arith_triple(())], ch)
-            elif kind == "matmul":
-                matmul_beaver_many([(x, y)], [dealer.matmul_triple((2, 3), (3, 2))], ch)
-            elif kind == "and":
-                and_beaver_many([(x, y)], [dealer.bin_triple(())], ch)
-            else:
-                mul_beaver_many([(x, y), (x, y)], [dealer.arith_triple((2, 3))], ch)
-        return ch.meter.rounds
+        (z,) = mul_beaver_many([(xs[pid], vs[pid])], RecordingDealer(0, pid), ch)
+        return z
 
     out0, out1, _ = run_protocol(proto)
-    assert out0 == out1 == 0
+    assert asked == {0: [((3, 4), (3, 1))], 1: [((3, 4), (3, 1))]}
+    assert np.array_equal(out0 + out1, xv * vv)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +374,7 @@ def test_and_truth_table(rng):
             ys = share_bin(np.uint64(yv), rng)
 
             def proto(pid, ch, dealer):
-                t = dealer.bin_triple(())
-                (z,) = and_beaver_many([(xs[pid], ys[pid])], [t], ch)
+                (z,) = and_beaver_many([(xs[pid], ys[pid])], dealer, ch)
                 return z
 
             out0, out1, _ = run_protocol(proto)
@@ -391,8 +386,7 @@ def test_and_random_words(rng):
     xs, ys = share_bin(xv, rng), share_bin(yv, rng)
 
     def proto(pid, ch, dealer):
-        t = dealer.bin_triple((1000,))
-        (z,) = and_beaver_many([(xs[pid], ys[pid])], [t], ch)
+        (z,) = and_beaver_many([(xs[pid], ys[pid])], dealer, ch)
         return z
 
     out0, out1, (m0, _) = run_protocol(proto)
@@ -430,8 +424,7 @@ def test_bit_to_arith_all_combinations():
     for b0v in (0, 1):
         for b1v in (0, 1):
             def proto(pid, ch, dealer):
-                pair = dealer.arith_input_pair(())
-                return bit_to_arith(np.uint64([b0v, b1v][pid]), pair, ch)
+                return bit_to_arith(np.uint64([b0v, b1v][pid]), dealer, ch)
 
             out0, out1, (m0, _) = run_protocol(proto)
             assert out0 + out1 == (b0v ^ b1v)
@@ -440,9 +433,8 @@ def test_bit_to_arith_all_combinations():
 
 def test_bit_to_arith_rejects_non_bit_share():
     def proto(pid, ch, dealer):
-        pair = dealer.arith_input_pair(())
         with pytest.raises(ValueError):
-            bit_to_arith(np.uint64(2), pair, ch)
+            bit_to_arith(np.uint64(2), dealer, ch)
         return ch.meter.rounds
 
     out0, out1, _ = run_protocol(proto)
@@ -478,15 +470,14 @@ _X, _Y = (1 << 64) - 3 * 2**32, 7 * 2**16 + 5  # -3.0 at scale 2^2f, 7.0001 at 2
 # Each protocol on 0-d shares ``s`` of _X and _Y (arithmetic x, y; binary
 # xb, yb): (call, how the two parties' results combine, the combined word).
 _ZERO_D_PROTOCOLS = {
-    "mul": (lambda pid, ch, d, s: mul_beaver_many([(s["x"], s["y"])], [d.arith_triple(())], ch)[0],
+    "mul": (lambda pid, ch, d, s: mul_beaver_many([(s["x"], s["y"])], d, ch)[0],
             lambda a, b: a + b, (_X * _Y) % (1 << 64)),
-    "and": (lambda pid, ch, d, s: and_beaver_many([(s["xb"], s["yb"])], [d.bin_triple(())], ch)[0],
+    "and": (lambda pid, ch, d, s: and_beaver_many([(s["xb"], s["yb"])], d, ch)[0],
             lambda a, b: a ^ b, _X & _Y),
     "truncate": (lambda pid, ch, d, s: truncate_share(s["x"], pid),
                  lambda a, b: a + b, (1 << 64) - 3 * 2**16),
     "a2b": (lambda pid, ch, d, s: a2b(s["x"], d, ch), lambda a, b: a ^ b, _X),
-    "bit_to_arith": (lambda pid, ch, d, s:
-                     bit_to_arith(np.uint64(1 - pid), d.arith_input_pair(()), ch),
+    "bit_to_arith": (lambda pid, ch, d, s: bit_to_arith(np.uint64(1 - pid), d, ch),
                      lambda a, b: a + b, 1),
     "ltz": (lambda pid, ch, d, s: ltz(s["x"], d, ch), lambda a, b: a + b, 1),
 }
@@ -557,7 +548,7 @@ def test_opened_values_look_uniform(rng):
     opened = {}
 
     def proto(pid, ch, dealer):
-        t = dealer.arith_triple((10000,))
+        t = dealer.arith_triple((10000,))[pid]
         eps = xs[pid] - t.a
         (peer_eps,) = ch.exchange("open", [eps])
         opened[pid] = eps + peer_eps

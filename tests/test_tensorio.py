@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_truncated_payload_rejected():
     raw = buf.getvalue()[:-4]
     with pytest.raises(tensorio.TensorFormatError):
         tensorio.read_tensor(io.BytesIO(raw), "f32")
+
+
+@pytest.mark.parametrize("dims", [(1 << 32, 1 << 32), (1 << 40,), (3, 0, 1 << 63)],
+                         ids=["product-wraps-int64", "past-end-of-file", "dim-too-large"])
+def test_header_dims_bounded_by_the_file(dims, tmp_path):
+    """Dims whose payload the file cannot hold, or whose shape numpy cannot
+    hold, are a format error before any payload is read or allocated."""
+    path = tmp_path / "t.bin"
+    header = struct.pack(f"<HH{len(dims)}Q", tensorio.VERSION, len(dims), *dims)
+    path.write_bytes(tensorio.MAGIC + header + b"\x00" * 64)
+    with pytest.raises(tensorio.TensorFormatError):
+        tensorio.load_tensor_file(path, "f32")
 
 
 def test_unknown_dtype_rejected():
