@@ -8,7 +8,7 @@ and peer failure to its exit code and message prefix.
 
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import click
@@ -19,17 +19,27 @@ from .nn import (AdapterConfig, ConfigMismatchError, PartyInputError,
                  derived_rng, inference_party, pipeline_forward_float,
                  private_inference, random_features, random_weights,
                  weights_to_float)
-from .runtime import (ENVS, WAN, ChannelError, NetworkEnv, merge_meters,
-                      simulate_latency, tcp_channel)
+from .runtime import (ENVS, WAN, ChannelError, NetworkEnv, check_fields,
+                      merge_meters, simulate_latency, tcp_channel)
 
 
 class ConfigError(ValueError):
     pass
 
 
+@dataclass
+class _EnvFigures:
+    """An ``env`` section's figures as the config writes them; a figure left
+    out keeps its WAN value."""
+    label: str = "custom"
+    bandwidth_mbps: float = field(default=WAN.bandwidth_bps / 1e6, metadata={">": 0})
+    latency_ms: float = field(default=WAN.latency_s / 1e-3, metadata={">=": 0})
+    __post_init__ = check_fields
+
+
 _SECTIONS = {
     "adapter": {f.name for f in fields(AdapterConfig)},
-    "env": {"label", "bandwidth_mbps", "latency_ms"},
+    "env": {f.name for f in fields(_EnvFigures)},
     "paths": {"weights_dir", "features_file", "utility_table", "output_dir"},
 }
 
@@ -39,7 +49,8 @@ class RunConfig:
     adapter: AdapterConfig
     env: NetworkEnv
     paths: dict
-    seed: int
+    seed: int = field(metadata={">=": 0})
+    __post_init__ = check_fields
 
     @classmethod
     def parse(cls, doc: dict) -> "RunConfig":
@@ -57,32 +68,24 @@ class RunConfig:
             bad = set(body) - allowed
             if bad:
                 raise ConfigError(f"unknown keys in {section}: {sorted(bad)}")
-        try:
-            adapter = AdapterConfig(**doc.get("adapter", {}))
-            env_doc = doc.get("env")
-            if env_doc:
-                label = env_doc.get("label", "custom")
-                if "bandwidth_mbps" in env_doc or "latency_ms" in env_doc:
-                    # A figure left out keeps its WAN value.
-                    bandwidth_mbps = env_doc.get("bandwidth_mbps", WAN.bandwidth_bps / 1e6)
-                    latency_ms = env_doc.get("latency_ms", WAN.latency_s / 1e-3)
-                    env = NetworkEnv(label, bandwidth_mbps * 1e6, latency_ms * 1e-3)
-                elif label in ENVS:
-                    env = ENVS[label]
-                else:
-                    raise ConfigError(f"unknown env label {label!r}")
-            else:
-                env = WAN
-        except (TypeError, ValueError) as e:
-            raise ConfigError(str(e)) from None
         paths = doc.get("paths", {})
         bad = sorted(k for k, v in paths.items() if not isinstance(v, str))
         if bad:
             raise ConfigError(f"paths must be strings: {bad}")
-        seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-        return cls(adapter=adapter, env=env, paths=paths, seed=seed)
+        try:
+            env_doc = doc.get("env", {})
+            label = env_doc.get("label", "WAN")
+            if env_doc.keys() & {"bandwidth_mbps", "latency_ms"}:
+                e = _EnvFigures(**env_doc)
+                env = NetworkEnv(e.label, e.bandwidth_mbps * 1e6, e.latency_ms * 1e-3)
+            elif label in ENVS:
+                env = ENVS[label]
+            else:
+                raise ConfigError(f"unknown env label {label!r}")
+            return cls(adapter=AdapterConfig(**doc.get("adapter", {})), env=env,
+                       paths=paths, seed=doc.get("seed", 0))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(str(e)) from None
 
 
 def load_run_config(path, seed_override=None) -> RunConfig:
@@ -91,7 +94,7 @@ def load_run_config(path, seed_override=None) -> RunConfig:
             doc = json.loads(Path(path).read_text())
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, or an integer past int_max_str_digits
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     else:
         doc = {}
@@ -383,7 +386,7 @@ def search(ctx, utility_target, latency_target, patience, heads, ranks,
         targets = nas.SearchTargets(utility=utility_target,
                                     latency_s=latency_target,
                                     patience=patience)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise click.UsageError(str(e), ctx) from None
 
     if evaluator_cmd:

@@ -10,12 +10,12 @@ truth and are meant to be fitted from profiles.
 import csv
 import json
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .nn import AdapterConfig, private_inference, random_features, random_weights
-from .runtime import NetworkEnv, merge_meters, simulate_latency
+from .runtime import NetworkEnv, check_fields, merge_meters, simulate_latency
 
 ROUNDS_PER_ADAPTER = 26
 ROUNDS_TAIL = 3
@@ -67,18 +67,14 @@ PUBLISHED_WAN = CostCoefficients(env="WAN", comm=WAN_COMM_COEFFS, comp=WAN_COMP_
 
 @dataclass
 class ProfileSample:
-    h: int
-    r: int
-    s: int
-    comm_time_s: float
-    comp_time_s: float
-    rounds: int
-    bytes: int
-
-    def __post_init__(self):
-        if min(self.h, self.r, self.s) < 1 or min(
-                self.comm_time_s, self.comp_time_s, self.rounds, self.bytes) < 0:
-            raise ValueError("profile sample fields must be nonnegative")
+    h: int = field(metadata={">=": 1})
+    r: int = field(metadata={">=": 1})
+    s: int = field(metadata={">=": 1})
+    comm_time_s: float = field(metadata={">=": 0})
+    comp_time_s: float = field(metadata={">=": 0})
+    rounds: int = field(metadata={">=": 0})
+    bytes: int = field(metadata={">=": 0})
+    __post_init__ = check_fields
 
 
 def estimate_rounds(config) -> int:
@@ -169,14 +165,15 @@ class CsvFormatError(ValueError):
     """A CSV data file with a missing column or a malformed value."""
 
 
-def read_csv(path, parse_row) -> list:
-    """``parse_row`` of each row, as a dict keyed by the header, of the CSV
-    file at ``path``.  A missing column or a value that ``parse_row`` refuses
-    raises ``CsvFormatError`` naming the line."""
+def read_records(path, record) -> list:
+    """One ``record`` per row of the CSV file at ``path``, each of the
+    dataclass's fields read from its column by its type.  A missing column
+    or a value the record refuses raises ``CsvFormatError`` naming the line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
-            return [parse_row(row) for row in reader]
+            return [record(**{f.name: f.type(row[f.name]) for f in fields(record)})
+                    for row in reader]
         except KeyError as e:
             raise CsvFormatError(f"{path}: no column {e}") from None
         except (TypeError, ValueError, csv.Error) as e:
@@ -184,6 +181,4 @@ def read_csv(path, parse_row) -> list:
 
 
 def load_samples_csv(path):
-    """Each field of ``ProfileSample`` is read from its column by its type."""
-    return read_csv(path, lambda row: ProfileSample(
-        **{f.name: f.type(row[f.name]) for f in fields(ProfileSample)}))
+    return read_records(path, ProfileSample)

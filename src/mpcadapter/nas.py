@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .costmodel import read_csv
+from .costmodel import read_records
+from .runtime import check_fields
 
 DEMO_TABLE = Path(__file__).parent / "data" / "demo_utility.csv"
 LEARNING_RATE = 0.1
@@ -30,12 +31,11 @@ class EvaluatorError(RuntimeError):
 class SearchSpace:
     heads: tuple
     ranks: tuple
-    s_max: int
+    s_max: int = field(metadata={">=": 1})
 
     def __post_init__(self):
-        if not self.heads or not self.ranks or self.s_max < 1:
-            raise ValueError("search space must be nonempty")
-        if min(self.heads + self.ranks) < 1 or not self.valid_pairs():
+        check_fields(self)
+        if min(self.heads + self.ranks, default=0) < 1 or not self.valid_pairs():
             raise ValueError("heads and ranks must be >= 1, and some rank "
                              "divisible by some head count")
 
@@ -60,13 +60,10 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class SearchTargets:
-    utility: float
-    latency_s: float
-    patience: int
-
-    def __post_init__(self):
-        if self.utility <= 0 or self.latency_s <= 0 or self.patience <= 0:
-            raise ValueError("targets must be positive")
+    utility: float = field(metadata={">": 0})
+    latency_s: float = field(metadata={">": 0})
+    patience: int = field(metadata={">": 0})
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -138,6 +135,16 @@ class ExhaustiveController:
 # ---------------------------------------------------------------------------
 # utility evaluators
 
+@dataclass(frozen=True)
+class UtilityEntry:
+    """One row of a utility table."""
+    h: int = field(metadata={">=": 1})
+    r: int = field(metadata={">=": 1})
+    s: int = field(metadata={">=": 1})
+    utility: float = field(metadata={">=": 0, "<=": 1})
+    __post_init__ = check_fields
+
+
 class TableEvaluator:
     """Lookup table keyed by (h, r, s); utilities in [0, 1]."""
 
@@ -146,10 +153,9 @@ class TableEvaluator:
 
     @classmethod
     def from_csv(cls, path) -> "TableEvaluator":
-        """Columns h, r, s and utility; a malformed file raises
+        """One ``UtilityEntry`` per row; a malformed file raises
         ``costmodel.CsvFormatError``."""
-        return cls(read_csv(path, lambda row: (
-            (int(row["h"]), int(row["r"]), int(row["s"])), float(row["utility"]))))
+        return cls({(e.h, e.r, e.s): e.utility for e in read_records(path, UtilityEntry)})
 
     def __call__(self, h, r, s) -> float:
         try:

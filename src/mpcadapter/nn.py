@@ -29,14 +29,14 @@ returns its logit shares).
 """
 
 import functools
-import numbers
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import kernels
 from .ring import DEFAULT_CONFIG, FixedTensor, decode_fixed, encode_fixed, truncate
-from .runtime import Channel, PayloadSizeError, run_two_party
+from .runtime import Channel, PayloadSizeError, check_fields, run_two_party
 from .sharing import (TripleDealer, ltz, matmul_beaver_many, mul_beaver_many,
                       share_arith, truncate_share)
 
@@ -59,32 +59,33 @@ RSQRT_AFFINE_WINDOW = (0.4083, 2.4490)
 # a revision-1 peer would reconstruct w - s0, so the handshake refuses it.
 PROTOCOL_REVISION = 2
 
+# The most words a party may hold in its weights, or in one array of the
+# wiring; a config past it is refused before anything is allocated.  The
+# paper config holds 600,064 weight words and 131,072 in its [h, n, n]
+# attention tensor, 111x and 512x under it.  The dealer draws a triple's
+# words as one block, at most 5x the largest array.
+MAX_PARTY_WORDS = 1 << 26
+
 
 @dataclass(frozen=True)
 class AdapterConfig:
     """The adapter both parties agree on; each field enters the handshake."""
-    h: int = 1
-    r: int = 8
-    s: int = 1
-    scaler: float = 0.5
-    d_model: int = 32
-    n_tokens: int = 8
-    n_classes: int = 10
+    h: int = field(default=1, metadata={">=": 1})
+    r: int = field(default=8, metadata={">=": 1})
+    s: int = field(default=1, metadata={">=": 1})
+    scaler: float = field(default=0.5, metadata={">=": 0, "<=": 4})
+    d_model: int = field(default=32, metadata={">=": 2})
+    n_tokens: int = field(default=8, metadata={">=": 2})
+    n_classes: int = field(default=10, metadata={">=": 1})
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Integral if f.type is int else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-        if self.h < 1 or self.r < 1 or self.s < 1:
-            raise ValueError("h, r, s must all be >= 1")
+        check_fields(self)
         if self.r % self.h:
             raise ValueError(f"rank {self.r} not divisible by heads {self.h}")
-        if not 0.0 <= self.scaler <= 4.0:
-            raise ValueError(f"scaler must be in [0, 4], got {self.scaler}")
-        if self.d_model < 2 or self.n_tokens < 2 or self.n_classes < 1:
-            raise ValueError("invalid model dimensions")
+        words, largest = self.party_words()
+        if max(words, largest) > MAX_PARTY_WORDS:
+            raise ValueError(f"a party would hold {words} weight words and a "
+                             f"{largest}-word array, past {MAX_PARTY_WORDS}")
 
     @property
     def head_dim(self) -> int:
@@ -94,6 +95,15 @@ class AdapterConfig:
     def mlp_dim(self) -> int:
         return 2 * self.r
 
+    def party_words(self) -> tuple:
+        """(weight words, words in the largest array) of one party: the largest
+        weight, features [n, d], attention tensor [h, n, n] or MLP [n, 2r]."""
+        adapter, tail = _weight_tables(self)
+        n, sizes = self.n_tokens, lambda shapes: [math.prod(shape) for shape in shapes]
+        words = self.s * sum(sizes(adapter.values())) + sum(sizes(tail.values()))
+        return words, max(sizes([*adapter.values(), *tail.values(), (n, self.d_model),
+                                 (self.h, n, n), (n, self.mlp_dim)]))
+
     def digest_words(self, extra=()) -> np.ndarray:
         """The protocol revision, every field in order (reals at scale 2^f),
         then ``extra``."""
@@ -102,8 +112,8 @@ class AdapterConfig:
         return np.array([PROTOCOL_REVISION, *words, *extra], dtype=np.uint64)
 
 
-def weight_shapes(config: AdapterConfig) -> dict:
-    """Every weight's name and shape, in the order weights are drawn and set up."""
+def _weight_tables(config: AdapterConfig) -> tuple:
+    """One adapter's weight shapes, and the pipeline tail's."""
     d, r, n, m = config.d_model, config.r, config.n_tokens, config.mlp_dim
     adapter = {
         "down": (d, r), "wq": (r, r), "wk": (r, r), "wv": (r, r),
@@ -112,8 +122,15 @@ def weight_shapes(config: AdapterConfig) -> dict:
         "ln1.gain": (r,), "ln1.bias": (r,),
         "ln2.gain": (r,), "ln2.bias": (r,),
     }
+    tail = {"final.gain": (d,), "final.bias": (d,), "classifier": (d, config.n_classes)}
+    return adapter, tail
+
+
+def weight_shapes(config: AdapterConfig) -> dict:
+    """Every weight's name and shape, in the order weights are drawn and set up."""
+    adapter, tail = _weight_tables(config)
     return {**{f"adapter{i}.{k}": v for i in range(config.s) for k, v in adapter.items()},
-            "final.gain": (d,), "final.bias": (d,), "classifier": (d, config.n_classes)}
+            **tail}
 
 
 def weight_names(config: AdapterConfig) -> list:

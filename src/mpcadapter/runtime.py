@@ -12,13 +12,15 @@ the peer's, so a round completes whatever the socket buffers hold.
 """
 
 import math
+import numbers
+import operator
 import queue
 import selectors
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,17 +48,37 @@ class FrameError(ChannelError):
     pass
 
 
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def check_fields(record):
+    """The field rule of every dataclass built from outside input, run by
+    its ``__post_init__``: an ``int`` field holds an integer, Python or numpy,
+    ``float`` a real that a finite float holds exactly, ``str`` a string, and
+    none a bool (else TypeError).  A real no float holds, or a value past a
+    bound the field's metadata maps ">=", ">" or "<=" to, raises ValueError."""
+    for f in (f for f in fields(record) if f.type in _KINDS):
+        value, kind = getattr(record, f.name), _KINDS[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+        try:
+            holds = f.type is not float or math.isfinite(value) and float(value) == value
+        except OverflowError:  # an integer past the largest float
+            holds = False
+        if not holds:
+            raise ValueError(f"{f.name} must be a finite float, got {value!r}")
+        for op, low in f.metadata.items():
+            if not _BOUNDS[op](value, low):
+                raise ValueError(f"{f.name} must be {op} {low}, got {value!r}")
+
+
 @dataclass
 class NetworkEnv:
     label: str
-    bandwidth_bps: float  # bits per second
-    latency_s: float      # one-way
-
-    def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency must be nonnegative")
+    bandwidth_bps: float = field(metadata={">": 0})  # bits per second
+    latency_s: float = field(metadata={">=": 0})     # one-way
+    __post_init__ = check_fields
 
 
 LAN = NetworkEnv("LAN", 1e9, 0.5e-3)

@@ -23,7 +23,7 @@ passed alongside it.
 Round contracts (per call, enforced by tests):
   mul / matmul / AND        1
   a2b                       7   (1 share distribution + 6 adder levels)
-  bit_to_arith / b2a_full   1
+  bit_to_arith              1
   ltz                       8
   truncate_share            0   (local probabilistic truncation)
 """
@@ -271,16 +271,6 @@ def bit_to_arith(bits: np.ndarray, dealer: TripleDealer,
     pair = dealer.arith_input_pair(np.shape(bits))[channel.party_id]
     prod, _ = _known_product(bits, pair, channel, "bit-open", np.multiply, ARITH)
     return np.asarray(np.subtract(bits, np.uint64(2) * prod))
-
-
-def b2a_full(words: np.ndarray, dealer: TripleDealer,
-             channel: Channel) -> np.ndarray:
-    """Binary -> arithmetic over all 64 bits, batched into one round."""
-    shifts = np.arange(RING_BITS, dtype=np.uint64).reshape(
-        (RING_BITS,) + (1,) * np.ndim(words))
-    planes = (words >> shifts) & np.uint64(1)
-    bit_shares = bit_to_arith(planes, dealer, channel)
-    return np.asarray(np.sum(bit_shares << shifts, axis=0, dtype=np.uint64))
 
 
 def ltz(x: np.ndarray, dealer: TripleDealer, channel: Channel) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from mpcadapter.ring import RING_BITS
 from mpcadapter.runtime import run_two_party
-from mpcadapter.sharing import TripleDealer, share_arith
+from mpcadapter.sharing import TripleDealer, bit_to_arith, share_arith
 
 
 def share_bin(x, rng) -> tuple:
@@ -11,6 +12,16 @@ def share_bin(x, rng) -> tuple:
     then party 1's."""
     s0, _ = share_arith(x, rng)
     return s0, np.asarray(x, np.uint64) ^ s0
+
+
+def b2a_full(words, dealer, channel) -> np.ndarray:
+    """Binary -> arithmetic shares over all 64 bits, batched into one
+    ``bit_to_arith`` round."""
+    shifts = np.arange(RING_BITS, dtype=np.uint64).reshape(
+        (RING_BITS,) + (1,) * np.ndim(words))
+    planes = (words >> shifts) & np.uint64(1)
+    bit_shares = bit_to_arith(planes, dealer, channel)
+    return np.asarray(np.sum(bit_shares << shifts, axis=0, dtype=np.uint64))
 
 
 def run_protocol(fn, seed=0, timeout=30.0):

@@ -24,11 +24,11 @@ from mpcadapter.nn import (AdapterConfig, derived_rng, inference_party,
 from mpcadapter.ring import encode_fixed
 from mpcadapter.runtime import LAN, WAN, MeterSummary, NetworkEnv, \
     simulate_latency, tcp_channel
-from mpcadapter.sharing import (a2b, and_beaver_many, b2a_full, ltz,
-                                mul_beaver_many, share_arith)
+from mpcadapter.sharing import (a2b, and_beaver_many, ltz, mul_beaver_many,
+                                share_arith)
 
 import reference
-from protocol_helpers import run_protocol, share_bin
+from protocol_helpers import b2a_full, run_protocol, share_bin
 
 DESK_GRID = [(1, 4), (1, 8), (2, 8), (4, 8), (2, 12), (4, 16)]
 

@@ -140,7 +140,7 @@ def test_mul_examples():
     assert _plain_mul(-1.0, 1.0) == -1.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.floats(-100, 100), st.floats(-100, 100))
 def test_mul_error_bound(x, y):
     got = _plain_mul(x, y)

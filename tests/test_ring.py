@@ -44,14 +44,14 @@ def test_headroom_guard():
         encode_fixed([1.0, np.nan])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False))
 def test_roundtrip_nearest_multiple(v):
     got = decode_fixed(encode_fixed(v))
     assert abs(got - v) <= 0.5 * ULP + 1e-12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_addition_homomorphism(a, b):
     lhs = encode_fixed(a) + encode_fixed(b)

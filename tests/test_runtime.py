@@ -355,7 +355,7 @@ _HEADERS = st.builds(
     st.binary(max_size=96))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.binary(max_size=96) | _HEADERS, st.integers(0, 64) | st.integers(0, 1 << 40))
 def test_tcp_recv_frame_any_bytes(stream, max_bytes):
     """Whatever the peer wrote before closing, recv_frame returns a frame

@@ -4,13 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from protocol_helpers import run_protocol, share_bin
+from protocol_helpers import b2a_full, run_protocol, share_bin
 
 from mpcadapter import kernels
 from mpcadapter.nn import PartyContext, PlainContext, linear_private
 from mpcadapter.ring import DEFAULT_CONFIG, decode_fixed, encode_fixed
 from mpcadapter.sharing import (TripleDealer, TripleShare, a2b, and_beaver_many,
-                                b2a_full, bit_to_arith, ltz, matmul_beaver_many,
+                                bit_to_arith, ltz, matmul_beaver_many,
                                 mul_beaver_many, share_arith, truncate_share)
 from mpcadapter.sharing import _rand_words
 
