@@ -94,7 +94,9 @@ def load_run_config(path, seed_override=None) -> RunConfig:
             doc = json.loads(Path(path).read_text())
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
-        except ValueError as e:  # not JSON, or an integer past int_max_str_digits
+        # Not JSON, an integer past int_max_str_digits, or nested past the
+        # parser's depth.
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     else:
         doc = {}

@@ -14,7 +14,8 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .nn import AdapterConfig, private_inference, random_features, random_weights
+from .nn import (MAX_PARTY_WORDS, AdapterConfig, private_inference, random_features,
+                 random_weights)
 from .runtime import NetworkEnv, check_fields, merge_meters, simulate_latency
 
 ROUNDS_PER_ADAPTER = 26
@@ -67,9 +68,12 @@ PUBLISHED_WAN = CostCoefficients(env="WAN", comm=WAN_COMM_COEFFS, comp=WAN_COMP_
 
 @dataclass
 class ProfileSample:
-    h: int = field(metadata={">=": 1})
-    r: int = field(metadata={">=": 1})
-    s: int = field(metadata={">=": 1})
+    """One profiled config.  Every config the engine accepts holds at least
+    h, r and s weight words per party, so ``MAX_PARTY_WORDS`` bounds each;
+    the fit's design matrix holds them as floats."""
+    h: int = field(metadata={">=": 1, "<=": MAX_PARTY_WORDS})
+    r: int = field(metadata={">=": 1, "<=": MAX_PARTY_WORDS})
+    s: int = field(metadata={">=": 1, "<=": MAX_PARTY_WORDS})
     comm_time_s: float = field(metadata={">=": 0})
     comp_time_s: float = field(metadata={">=": 0})
     rounds: int = field(metadata={">=": 0})
@@ -165,15 +169,17 @@ class CsvFormatError(ValueError):
     """A CSV data file with a missing column or a malformed value."""
 
 
-def read_records(path, record) -> list:
-    """One ``record`` per row of the CSV file at ``path``, each of the
-    dataclass's fields read from its column by its type.  A missing column
-    or a value the record refuses raises ``CsvFormatError`` naming the line."""
+def read_records(path, record) -> dict:
+    """One ``record`` per row of the CSV file at ``path``, keyed by its line
+    number, each of the dataclass's fields read from its column by its type.
+    A missing column or a value the record refuses raises ``CsvFormatError``
+    naming the line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
-            return [record(**{f.name: f.type(row[f.name]) for f in fields(record)})
-                    for row in reader]
+            return {reader.line_num: record(**{f.name: f.type(row[f.name])
+                                                for f in fields(record)})
+                    for row in reader}
         except KeyError as e:
             raise CsvFormatError(f"{path}: no column {e}") from None
         except (TypeError, ValueError, csv.Error) as e:
@@ -181,4 +187,4 @@ def read_records(path, record) -> list:
 
 
 def load_samples_csv(path):
-    return read_records(path, ProfileSample)
+    return list(read_records(path, ProfileSample).values())

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .costmodel import read_records
+from .costmodel import CsvFormatError, read_records
 from .runtime import check_fields
 
 DEMO_TABLE = Path(__file__).parent / "data" / "demo_utility.csv"
@@ -153,9 +153,16 @@ class TableEvaluator:
 
     @classmethod
     def from_csv(cls, path) -> "TableEvaluator":
-        """One ``UtilityEntry`` per row; a malformed file raises
-        ``costmodel.CsvFormatError``."""
-        return cls({(e.h, e.r, e.s): e.utility for e in read_records(path, UtilityEntry)})
+        """One ``UtilityEntry`` per row; a malformed file, or two rows of one
+        (h, r, s), raises ``costmodel.CsvFormatError``."""
+        lines, table = {}, {}
+        for line, e in read_records(path, UtilityEntry).items():
+            key = (e.h, e.r, e.s)
+            if key in lines:
+                raise CsvFormatError(f"{path} lines {lines[key]} and {line} both "
+                                     f"give (h, r, s) = {key}")
+            lines[key], table[key] = line, e.utility
+        return cls(table)
 
     def __call__(self, h, r, s) -> float:
         try:

@@ -304,11 +304,9 @@ def layernorm_private(ctx, x, gain, bias, coeffs):
             power_raw, *raw = ctx.mul_many([(power, power), *pairs], "ln-pow")
             power = ctx.truncate(power_raw)
         terms += [ctx.truncate(r) for r in raw]
-
-    out = bias
-    for c, t in zip(coeffs, terms):
-        out = out + ctx.truncate(t * ctx.public(c))
-    return out
+    # One truncation of the summed raw products: one rounding, and one
+    # failure chance |x|/2^64 per word, instead of one per term.
+    return bias + ctx.truncate(sum(t * ctx.public(c) for c, t in zip(coeffs, terms)))
 
 
 def _split_heads(x, config: AdapterConfig):
@@ -326,12 +324,15 @@ def linatten_private(ctx, q, k, v, wl):
     on any backend.
 
     Two matmul rounds plus the W_L linear round; all heads are batched,
-    and there is no comparison, Softmax, or division.
+    and there is no comparison, Softmax, or division.  The token mix
+    W_L @ S is computed as (S^T @ W_L^T)^T, the same ring words, so that
+    W_L is the right factor of its product, as every weight of a linear
+    layer is (see ``sharing._beaver_many``); it is still opened h-fold.
     """
     h, n, dh = q.shape
     scores = ctx.truncate(ctx.matmul(q, k.transpose(0, 2, 1), "atten-qk"))  # [h, N, N]
-    mixed = linear_private(ctx, np.broadcast_to(wl, (h, n, n)), scores)
-    return ctx.truncate(ctx.matmul(mixed, v, "atten-av"))
+    mixed = linear_private(ctx, scores.transpose(0, 2, 1), np.broadcast_to(wl.T, (h, n, n)))
+    return ctx.truncate(ctx.matmul(mixed.transpose(0, 2, 1), v, "atten-av"))
 
 
 def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,

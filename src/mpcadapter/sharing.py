@@ -156,9 +156,11 @@ def _beaver_many(pairs, draw, channel: Channel, label, product, ring):
     ``draw(x, y)`` draws the dealer's triple for operands x and y, a pair
     indexed by party id; every pair's is drawn, in order, before the round.
     Each party opens e = x - a and d = y - b (XOR in the binary ring); then
-    z = c + e*b + a*d, plus e*d on party 0.  Party 0 folds its two
-    e-products into e*(b + d), which is exact: the product distributes over
-    addition mod 2^64, and AND over XOR.
+    both parties take z_i = c_i + a_i*d + e*y_i, with y_i their own share of
+    y.  The shares sum to ab + a*d + e*y = a*y + e*y = x*y: the product
+    distributes over addition mod 2^64, and AND over XOR.  A party whose y_i
+    is all zero skips e*y_i, since e*0 = 0; party 0's weight shares are
+    zero, so a weight product costs it one product instead of two.
     """
     mask, add = ring
     triples = [draw(x, y)[channel.party_id] for x, y in pairs]
@@ -167,11 +169,15 @@ def _beaver_many(pairs, draw, channel: Channel, label, product, ring):
         msgs += [mask(x, t.a), mask(y, t.b)]
     opened = channel.exchange(label, msgs)
     out = []
-    for i, t in enumerate(triples):
-        e = add(msgs[2 * i], opened[2 * i])
+    for i, ((_, y), t) in enumerate(zip(pairs, triples)):
         d = add(msgs[2 * i + 1], opened[2 * i + 1])
-        b = add(t.b, d) if channel.party_id == 0 else t.b
-        out.append(np.asarray(add(add(t.c, product(e, b)), product(t.a, d))))
+        z = add(t.c, product(t.a, d))
+        # y.any(), but a random share's first word (0 with probability
+        # 2^-64) settles it without the scan.
+        if (y.size and y.item(0)) or y.any():
+            e = add(msgs[2 * i], opened[2 * i])
+            z = add(z, product(e, y))
+        out.append(np.asarray(z))
     return out
 
 

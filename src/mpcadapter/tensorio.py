@@ -17,6 +17,7 @@ import io
 import json
 import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -119,14 +120,15 @@ def save_weights_dir(path, tensors: dict, meta: dict, dtype: str = "f32"):
 def load_weights_dir(path):
     """Read a weights directory; returns (tensors by name, manifest).
 
-    A manifest that is not JSON, lacks its tensor list or an entry's name,
-    shape or dtype, or declares a ``frac_bits`` other than the engine's
-    raises TensorFormatError, as does a malformed payload.
+    A manifest that is not JSON (or nests past the parser's depth), lacks
+    its tensor list or an entry's name, shape or dtype, names a tensor twice,
+    or declares a ``frac_bits`` other than the engine's raises
+    TensorFormatError, as does a malformed payload.
     """
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_bytes())
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise TensorFormatError(f"manifest.json is not valid JSON: {e}") from None
     entries = manifest.get("tensors") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
@@ -139,6 +141,9 @@ def load_weights_dir(path):
         raise TensorFormatError(
             f"manifest declares frac_bits {manifest.get('frac_bits')!r}, "
             f"the engine's format has {DEFAULT_CONFIG.frac_bits}")
+    twice = sorted(n for n, k in Counter(e["name"] for e in entries).items() if k > 1)
+    if twice:
+        raise TensorFormatError(f"manifest.json names tensors more than once: {twice}")
     tensors = {}
     with open(path / "weights.bin", "rb") as fh:
         for entry in entries:

@@ -11,6 +11,8 @@ import pytest
 from click.testing import CliRunner
 
 from mpcadapter.cli import main
+from mpcadapter.costmodel import CsvFormatError, load_samples_csv
+from mpcadapter.nas import TableEvaluator
 from mpcadapter.nn import MAX_PARTY_WORDS, AdapterConfig
 from mpcadapter.runtime import NetworkEnv, check_fields
 
@@ -84,8 +86,9 @@ def _run(tmp_path, config_text, args):
     return CliRunner().invoke(main, ["--config", str(path), *args])
 
 
-@pytest.mark.parametrize("raw", [b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"],
-                         ids=["int-past-str-digits", "not-utf8"])
+@pytest.mark.parametrize("raw", [b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}",
+                                 b'{"adapter": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+                         ids=["int-past-str-digits", "not-utf8", "nested-past-depth"])
 def test_unreadable_config_is_config_error(tmp_path, raw):
     path = tmp_path / "run.json"
     path.write_bytes(raw)
@@ -158,3 +161,47 @@ def test_nonfinite_data_file_is_io_error(tmp_path, command, header, row):
                    ["search", "--exhaustive"])
     assert res.exit_code == 3, res.output
     assert res.output.startswith(f"io error: {path} line 2:"), res.output
+
+
+SAMPLES_HEADER = "h,r,s,comm_time_s,comp_time_s,rounds,bytes"
+NINE_SAMPLES = [f"{h},{r},{1 + i % 3},{0.3 + 0.1 * i},{0.1 + 0.05 * i},29,{5000 + 1000 * i}"
+                for i, (h, r) in enumerate([(1, 8), (1, 8), (1, 16), (1, 16), (1, 32),
+                                            (2, 8), (2, 8), (2, 16), (2, 16)])]
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["h", "r", "s"])
+def test_sample_past_max_party_words_is_io_error(tmp_path, column):
+    """A 300-digit h, r or s in one row of a samples file that fits: refused
+    at its line (the fit's design matrix once became an object array)."""
+    rows = list(NINE_SAMPLES)
+    cells = rows[2].split(",")
+    cells[column] = "1" + "0" * 299
+    rows[2] = ",".join(cells)
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join([SAMPLES_HEADER, *rows]) + "\n")
+    res = CliRunner().invoke(main, ["fit", "--samples", str(path)])
+    assert res.exit_code == 3, res.output
+    name = "hrs"[column]
+    assert res.output.startswith(f"io error: {path} line 4: {name} must be <= "
+                                 f"{MAX_PARTY_WORDS}"), res.output
+
+
+def test_sample_at_max_party_words_is_read(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{SAMPLES_HEADER}\n{MAX_PARTY_WORDS},1,1,0.1,0.1,29,1\n")
+    (sample,) = load_samples_csv(path)
+    assert sample.h == MAX_PARTY_WORDS
+
+
+def test_duplicate_utility_rows_are_io_error(tmp_path):
+    """Two rows of one (h, r, s) are refused, naming both lines, instead of
+    the last one winning."""
+    path = tmp_path / "utility.csv"
+    path.write_text("h,r,s,utility\n1,4,1,0.9\n2,8,1,0.5\n1,4,1,0.1\n")
+    with pytest.raises(CsvFormatError, match=r"lines 2 and 4 both give \(h, r, s\) = "
+                                             r"\(1, 4, 1\)"):
+        TableEvaluator.from_csv(path)
+    res = _run(tmp_path, json.dumps({"paths": {"utility_table": str(path)}}),
+               ["search", "--exhaustive"])
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith(f"io error: {path} lines 2 and 4"), res.output

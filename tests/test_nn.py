@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from protocol_helpers import run_protocol
 
+from mpcadapter import kernels
 from mpcadapter.nn import _setup
 from mpcadapter.nn import (PROTOCOL_REVISION, RSQRT_AFFINE, RSQRT_AFFINE_WINDOW,
                            RSQRT_CUBIC, RSQRT_CUBIC_WINDOW, AdapterConfig,
@@ -515,10 +517,10 @@ PAPER_GOLDEN_CONFIG = AdapterConfig(h=8, r=64, s=1, d_model=768, n_tokens=128)
 # moves a transcript digest, so it changes only with a deliberate change to
 # the protocol or the fixed-point format.  The pipeline digests leave out the
 # setup entry: they pin every online word, and change only with the pipeline.
-GOLDEN_TRANSCRIPT = "6c15811dec72c9a4b28957bbed9b1886082d9bd335645a6cf941b744c0e3b194"
-PAPER_GOLDEN_TRANSCRIPT = "d8b8ea403f2ed51a8cb3ed3623d9279fc8b604b335bafe06665b5f244c48d0e1"
-PIPELINE_GOLDEN = "86735f04713dd596c4231ce1b131c272c04d6dd09760cd9028d72b92809b404b"
-PAPER_PIPELINE_GOLDEN = "a8892fb5e4b06189b86a0dc6abb4ae4f4cc0bd66a8bbafb2455cf84fc0cd59a1"
+GOLDEN_TRANSCRIPT = "c5ae78304aff3d25aa4964304abcb3d330844d673d346bcbdde6bb37a12d505a"
+PAPER_GOLDEN_TRANSCRIPT = "f058a20a66356e1884fd557f43ddbd308894abb2cd6bac87b173059b2965247c"
+PIPELINE_GOLDEN = "f8e1deaa3b7a0d57d7365b534a11381a87be0caac537503218068d2cc602951c"
+PAPER_PIPELINE_GOLDEN = "2e9d7667ea58573e49dc6d6f65b45d9732e9161d30f8a0c07896c92e30c261f5"
 
 
 def test_inference_golden_transcript():
@@ -541,6 +543,36 @@ def test_inference_pipeline_golden():
 
 def test_inference_pipeline_golden_paper_shape():
     assert _transcript(PAPER_GOLDEN_CONFIG, 1, skip={"setup"})[1] == PAPER_PIPELINE_GOLDEN
+
+
+PAPER_CONFIG = AdapterConfig(h=8, r=64, s=4, d_model=768, n_tokens=128)
+
+
+def test_paper_input_ring_products_per_party(monkeypatch):
+    """One paper input: 45 weight or attention products.  Party 0's weight
+    shares are zero, so it skips e@0 on each of the 37 weight products
+    (9 per adapter and the classifier); party 1 also makes the dealer's
+    a@b for every product."""
+    weights = random_weights(PAPER_CONFIG, derived_rng(1, "weights"))
+    feats = [random_features(PAPER_CONFIG, derived_rng(1, "inputs"))]
+    counts, party = {0: [0, 0], 1: [0, 0]}, threading.local()
+    real = kernels.matmul_u64
+
+    def counted(a, b):
+        counts[party.pid][0] += 1
+        counts[party.pid][1] += a.size * b.shape[-1]  # multiply-accumulates
+        return real(a, b)
+
+    def as_party(pid, protocol):
+        def run(channel):
+            party.pid = pid
+            return protocol(channel)
+        return run
+
+    monkeypatch.setattr(kernels, "matmul_u64", counted)
+    run_two_party(as_party(0, inference_party(0, PAPER_CONFIG, 1, features=feats)),
+                  as_party(1, inference_party(1, PAPER_CONFIG, 1, weights=weights)))
+    assert counts == {0: [53, 151_002_624], 1: [135, 427_842_048]}
 
 
 def test_inference_without_inputs():

@@ -1,15 +1,21 @@
 """Property tests of the parsers of outside input: the run-config document,
-the profile-samples CSV and the utility-table CSV.  Each input either parses
-to records whose every figure is finite and in range, or raises the
-parser's typed error (``ConfigError``, ``CsvFormatError``); nothing else
-escapes."""
+the profile-samples CSV, the utility-table CSV, a tensor record and a
+weights directory.  Each input either parses to records whose every figure
+is finite and in range (arrays of the declared shape), or raises the
+parser's typed error (``ConfigError``, ``CsvFormatError``,
+``TensorFormatError``, or ``OSError`` for a file that cannot be read);
+nothing else escapes."""
 
 import copy
 import csv
+import io
+import json
 import math
 import numbers
+import struct
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +24,9 @@ from mpcadapter.cli import ConfigError, RunConfig
 from mpcadapter.costmodel import CsvFormatError, ProfileSample, load_samples_csv
 from mpcadapter.nas import TableEvaluator
 from mpcadapter.nn import MAX_PARTY_WORDS
+from mpcadapter.ring import FixedTensor
+from mpcadapter.tensorio import (DTYPES, MAGIC, VERSION, TensorFormatError,
+                                 load_weights_dir, read_tensor, write_tensor)
 
 BIG = 10 ** 299  # 300 digits
 
@@ -131,6 +140,7 @@ SAMPLE_COLUMNS = [f.name for f in fields(ProfileSample)]
 
 @given(_tables(SAMPLE_COLUMNS))
 @example((SAMPLE_COLUMNS, [["1", "8", "1", "nan", "0.1", "29", "1"]]))
+@example((SAMPLE_COLUMNS, [["9" * 300, "8", "1", "0.1", "0.1", "29", "1"]]))
 @settings(max_examples=120)
 def test_samples_csv_parses_or_refuses(csv_path, table):
     _write(csv_path, table)
@@ -142,12 +152,13 @@ def test_samples_csv_parses_or_refuses(csv_path, table):
         assert all(map(_is_figure, (getattr(p, f.name) for f in fields(p))))
         assert all(isinstance(getattr(p, f.name), numbers.Integral)
                    for f in fields(p) if f.type is int)
-        assert min(p.h, p.r, p.s) >= 1
+        assert 1 <= min(p.h, p.r, p.s) and max(p.h, p.r, p.s) <= MAX_PARTY_WORDS
         assert min(p.comm_time_s, p.comp_time_s, p.rounds, p.bytes) >= 0
 
 
 @given(_tables(["h", "r", "s", "utility"]))
 @example((["h", "r", "s", "utility"], [["1", "8", "1", "nan"]]))
+@example((["h", "r", "s", "utility"], [["1", "4", "1", "0.9"], ["1", "4", "1", "0.1"]]))
 @settings(max_examples=150)
 def test_utility_csv_parses_or_refuses(csv_path, table):
     _write(csv_path, table)
@@ -155,6 +166,126 @@ def test_utility_csv_parses_or_refuses(csv_path, table):
         evaluator = TableEvaluator.from_csv(csv_path)
     except CsvFormatError:
         return
+    assert len(evaluator.table) == len(table[1])  # no row was dropped
     for (h, r, s), u in evaluator.table.items():
         assert all(isinstance(v, numbers.Integral) and v >= 1 for v in (h, r, s))
         assert _is_figure(u) and 0 <= u <= 1
+
+
+# Header dims: small ones, and sizes no payload or array could hold.
+DIMS = st.one_of(st.integers(0, 4), st.sampled_from([2 ** 32, 2 ** 63, 2 ** 64 - 1]),
+                 st.integers(0, 2 ** 64 - 1))
+PAYLOAD_DTYPES = st.sampled_from([*DTYPES, "f64", ""])
+
+
+@st.composite
+def tensor_records(draw):
+    """A tensor record of any magic, version, rank (maybe not the number of
+    dims written) and dims, with a payload of the declared length, one item
+    off or any length, the whole maybe cut short."""
+    dims = draw(st.one_of(st.lists(DIMS, max_size=4), st.just([1] * 65)))
+    rank = draw(st.one_of(st.just(len(dims)), st.integers(0, 2 ** 16 - 1)))
+    head = (draw(st.sampled_from([MAGIC, MAGIC, MAGIC, b"CPFX", b"CP"]))
+            + struct.pack("<HH", draw(st.sampled_from([VERSION, VERSION, 0, 2 ** 16 - 1])),
+                          rank)
+            + struct.pack(f"<{len(dims)}Q", *dims))
+    items = math.prod(dims)
+    length = draw(st.one_of(st.sampled_from([items, items - 1, items + 1]),
+                            st.integers(0, 64)))
+    payload = bytes(range(256)) * (max(0, min(length, 512)) * 8 // 256 + 1)
+    data = head + payload[:8 * max(0, min(length, 512))]
+    cut = draw(st.one_of(st.none(), st.integers(0, len(data))))
+    return data[:cut]
+
+
+@given(tensor_records(), PAYLOAD_DTYPES)
+@example(MAGIC + struct.pack("<HHQQ", VERSION, 2, 2 ** 32, 2 ** 32), "f32")
+@example(MAGIC + struct.pack("<HHQQQ", VERSION, 3, 3, 0, 2 ** 63), "u64ring")
+@example(MAGIC + struct.pack("<HH", VERSION, 65) + struct.pack("<65Q", *[1] * 65)
+         + bytes(8), "u64ring")
+@settings(max_examples=300)
+def test_tensor_record_reads_or_refuses(data, dtype):
+    try:
+        array = read_tensor(io.BytesIO(data), dtype)
+    except (TensorFormatError, OSError):
+        return
+    rank = struct.unpack_from("<H", data, 6)[0]
+    assert array.shape == struct.unpack_from(f"<{rank}Q", data, 8)
+    assert array.dtype == DTYPES[dtype]
+
+
+def _record(shape, dtype, fill) -> bytes:
+    """A record of ``fill`` reals, or of ring words (any word is one)."""
+    buf = io.BytesIO()
+    array = np.full(shape, fill, np.float32) if dtype == "f32" else \
+        np.full(shape, 2 ** 63 + 5, np.uint64)
+    write_tensor(buf, array, dtype)
+    return buf.getvalue()
+
+
+ENTRIES = st.lists(st.fixed_dictionaries({
+    "name": st.sampled_from(["a", "b", "c"]),
+    "shape": st.lists(st.integers(0, 3), max_size=3),
+    "dtype": st.sampled_from(list(DTYPES))}), max_size=3)
+MANIFEST_PLACES = [(), ("frac_bits",), ("tensors",), ("tensors", 0),
+                   *(("tensors", 0, key) for key in ("name", "shape", "dtype"))]
+
+
+@st.composite
+def weights_dirs(draw):
+    """(manifest bytes, weights.bin bytes): a well-formed directory of up to
+    three tensors, with one manifest value replaced or left out, a record
+    written with other dims or values no ring word holds, or the payload
+    cut or padded; or a manifest that is not a JSON document at all."""
+    entries = draw(ENTRIES)
+    fills = draw(st.lists(st.sampled_from([0.5, -2.0, math.nan, 1e30, 7]),
+                          min_size=len(entries), max_size=len(entries)))
+    shapes = [draw(st.sampled_from([e["shape"], e["shape"], [2]])) for e in entries]
+    payload = b"".join(_record(shape, e["dtype"], fill)
+                       for e, shape, fill in zip(entries, shapes, fills))
+    payload = draw(st.sampled_from([payload, payload, payload[:-1], payload + b"\0"]))
+    doc = {"format_version": VERSION, "frac_bits": 16, "tensors": entries}
+    place = draw(st.sampled_from(MANIFEST_PLACES))
+    value = draw(st.one_of(GARBAGE, st.just(...), JSON))
+    if not place:
+        doc = {} if value is ... else value
+    elif place[0] == "frac_bits" or entries:
+        *outer, key = place
+        body = doc
+        for k in outer:
+            body = body[k]
+        if value is ...:
+            del body[key]
+        else:
+            body[key] = value
+    text = draw(st.sampled_from([json.dumps(doc), json.dumps(doc), "{", "\xff",
+                                 "[" * 100_000 + "]" * 100_000]))
+    return text.encode(errors="surrogateescape"), payload
+
+
+@pytest.fixture(scope="module")
+def weights_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("weights")
+
+
+@given(weights_dirs())
+@example((json.dumps({"frac_bits": 16, "tensors": [
+    {"name": "a", "shape": [1], "dtype": "u64ring"},
+    {"name": "a", "shape": [2], "dtype": "u64ring"}]}).encode(),
+    _record([1], "u64ring", 1) + _record([2], "u64ring", 2)))
+@example((b"[" * 100_000 + b"]" * 100_000, b""))
+@settings(max_examples=200)
+def test_weights_dir_reads_or_refuses(weights_dir, directory):
+    manifest_bytes, payload = directory
+    (weights_dir / "manifest.json").write_bytes(manifest_bytes)
+    (weights_dir / "weights.bin").write_bytes(payload)
+    try:
+        tensors, manifest = load_weights_dir(weights_dir)
+    except (TensorFormatError, OSError):
+        return
+    entries = manifest["tensors"]
+    assert list(tensors) == [e["name"] for e in entries]
+    for e in entries:
+        t = tensors[e["name"]]
+        assert isinstance(t, FixedTensor) and t.data.dtype == np.uint64
+        assert list(t.shape) == e["shape"]

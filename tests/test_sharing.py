@@ -318,11 +318,11 @@ def test_matmul_beaver_vs_plain(rng):
     assert np.max(np.abs(decode_fixed(out0 + out1) - want)) <= 4 * ULP
 
 
-def test_linear_ring_products_per_party(rng, monkeypatch):
-    """One private linear layer: party 0 computes e@(b0 + d) and a0@d;
-    party 1 the dealer's a@b, e@b1 and a1@d."""
+def _linear_ring_products(rng, monkeypatch, weight_shares):
+    """``kernels.matmul_u64`` calls per party for one private linear layer
+    on a shared input and the given pair of weight shares."""
     x = share_arith(encode_fixed(rng.standard_normal((3, 4))), rng)
-    w = share_arith(encode_fixed(rng.standard_normal((4, 2))), rng)
+    w = weight_shares(encode_fixed(rng.standard_normal((4, 2))))
     want = linear_private(PlainContext(), x[0] + x[1], w[0] + w[1])
     calls, party = {0: 0, 1: 0}, threading.local()
     real = kernels.matmul_u64
@@ -339,7 +339,55 @@ def test_linear_ring_products_per_party(rng, monkeypatch):
 
     out0, out1, _ = run_protocol(proto)
     assert np.max(np.abs((out0 + out1 - want).view(np.int64))) <= 2
-    assert calls == {0: 2, 1: 3}
+    return calls
+
+
+def test_linear_ring_products_per_party(rng, monkeypatch):
+    """One private linear layer on a shared weight: party 0 computes a0@d
+    and e@w0; party 1 the dealer's a@b, a1@d and e@w1."""
+    assert _linear_ring_products(
+        rng, monkeypatch, lambda w: share_arith(w, rng)) == {0: 2, 1: 3}
+
+
+@pytest.mark.parametrize("zero_party, want", [(0, {0: 1, 1: 3}), (1, {0: 2, 1: 2})])
+def test_linear_skips_the_product_on_a_zero_weight_share(rng, monkeypatch,
+                                                         zero_party, want):
+    """A weight held as one party's words against zeros on the other, as
+    the engine's setup holds them: the party whose share is zero skips e@0."""
+    shares = lambda w: (np.zeros_like(w), w)[::1 if zero_party == 0 else -1]
+    assert _linear_ring_products(rng, monkeypatch, shares) == want
+
+
+_PRODUCTS = {
+    "mul": (mul_beaver_many, share_arith, np.add, np.multiply, ((3, 4), (3, 4))),
+    "matmul": (matmul_beaver_many, share_arith, np.add, kernels.matmul_u64,
+               ((3, 4), (4, 2))),
+    "and": (and_beaver_many, share_bin, np.bitwise_xor, np.bitwise_and,
+            ((3, 4), (3, 4))),
+}
+
+
+@pytest.mark.parametrize("kind", _PRODUCTS)
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("zero_party", [0, 1])
+def test_beaver_exact_with_a_zero_share(rng, kind, side, zero_party):
+    """z_i = c_i + a_i*d + e*y_i reconstructs x*y exactly (x AND y in the
+    binary ring) when one party's share of either factor is all zero, so
+    the other party holds that factor's words."""
+    protocol, share, add, product, shapes = _PRODUCTS[kind]
+    xv, yv = _words(rng, shapes[0]), _words(rng, shapes[1])
+    xs, ys = share(xv, rng), share(yv, rng)
+    words = xv if side == "left" else yv
+    held = (np.zeros_like(words), words)[::1 if zero_party == 0 else -1]
+    xs, ys = (held, ys) if side == "left" else (xs, held)
+
+    def proto(pid, ch, dealer):
+        (z,) = protocol([(xs[pid], ys[pid])], dealer, ch)
+        return z
+
+    out0, out1, (m0, _) = run_protocol(proto)
+    assert np.array_equal(add(out0, out1), product(xv, yv))
+    assert m0.rounds == 1
 
 
 def test_beaver_draws_its_triple_from_operand_shapes(rng):
