@@ -5,7 +5,7 @@ The adapter block (all on secret shares):
     u   = x @ down
     ln1 = LayerNorm(u)                      3 rounds
     q, k, v = ln1 @ Wq, ln1 @ Wk, ln1 @ Wv  1 round each
-    A   = (W_L @ (Q K^T)) V                 2 matmul rounds + 1 linear (W_L)
+    A   = W_L @ (Q (K^T V))                 2 matmul rounds + 1 linear (W_L)
     a   = u + A @ attn_out
     ln2 = LayerNorm(a)                      3 rounds
     z   = a + ReLU(ln2 @ fc1) @ fc2         1 + 9 + 1 rounds
@@ -61,9 +61,11 @@ PROTOCOL_REVISION = 2
 
 # The most words a party may hold in its weights, or in one array of the
 # wiring; a config past it is refused before anything is allocated.  The
-# paper config holds 600,064 weight words and 131,072 in its [h, n, n]
-# attention tensor, 111x and 512x under it.  The dealer draws a triple's
-# words as one block, at most 5x the largest array.
+# paper config holds 600,064 weight words, 111x under it.  ``party_words``
+# also counts an [h, n, n] block, 131,072 words at paper shape (512x under
+# it), although the attention forms no array larger than [h, n, dh]; the
+# bound is conservative there.  The dealer draws a triple's words as one
+# block, at most 5x the largest array.
 MAX_PARTY_WORDS = 1 << 26
 
 
@@ -97,7 +99,7 @@ class AdapterConfig:
 
     def party_words(self) -> tuple:
         """(weight words, words in the largest array) of one party: the largest
-        weight, features [n, d], attention tensor [h, n, n] or MLP [n, 2r]."""
+        weight, features [n, d], an [h, n, n] block or MLP [n, 2r]."""
         adapter, tail = _weight_tables(self)
         n, sizes = self.n_tokens, lambda shapes: [math.prod(shape) for shape in shapes]
         words = self.s * sum(sizes(adapter.values())) + sum(sizes(tail.values()))
@@ -321,18 +323,25 @@ def _merge_heads(x):
 
 def linatten_private(ctx, q, k, v, wl):
     """Linear attention (W_L @ (Q K^T)) V on [heads, N, head_dim] tensors,
-    on any backend.
+    on any backend, computed as W_L @ (Q @ (K^T V)): by associativity no
+    [heads, N, N] tensor is formed (Katharopoulos et al., ICML 2020).
 
-    Two matmul rounds plus the W_L linear round; all heads are batched,
-    and there is no comparison, Softmax, or division.  The token mix
-    W_L @ S is computed as (S^T @ W_L^T)^T, the same ring words, so that
-    W_L is the right factor of its product, as every weight of a linear
-    layer is (see ``sharing._beaver_many``); it is still opened h-fold.
+    Three rounds, all heads batched, and no comparison, Softmax, or
+    division: K^T V [h, dh, dh], then Q @ KV [h, N, dh], then the W_L
+    linear.  K^T V is taken as a token mean, its raw product truncated by
+    e more bits, where 2^e is the largest power of two <= N; W_L's words
+    are multiplied by the integer 2^e, which is exact and local (zeros stay
+    zero), so the function is unchanged and T's words stay small.  The
+    token mix is one 2-D product, T^T [h*dh, N] @ W_L^T, so W_L is opened
+    once and is the right factor of its product, as every weight of a
+    linear layer is (see ``sharing._beaver_many``).
     """
     h, n, dh = q.shape
-    scores = ctx.truncate(ctx.matmul(q, k.transpose(0, 2, 1), "atten-qk"))  # [h, N, N]
-    mixed = linear_private(ctx, scores.transpose(0, 2, 1), np.broadcast_to(wl.T, (h, n, n)))
-    return ctx.truncate(ctx.matmul(mixed.transpose(0, 2, 1), v, "atten-av"))
+    e = n.bit_length() - 1
+    kv = ctx.truncate(ctx.matmul(k.transpose(0, 2, 1), v, "atten-kv"), e)  # [h, dh, dh]
+    t = ctx.truncate(ctx.matmul(q, kv, "atten-q"))  # [h, N, dh]
+    mixed = linear_private(ctx, t.transpose(0, 2, 1).reshape(h * dh, n), (wl * (1 << e)).T)
+    return mixed.reshape(h, dh, n).transpose(0, 2, 1)
 
 
 def adapter_forward_private(ctx, x, w: dict, config: AdapterConfig,
@@ -434,8 +443,11 @@ def _setup(ctx: PartyContext, config: AdapterConfig, seed: int, weights, feature
         inputs = [s0 for s0, _ in shares]
         wshares = {n: np.zeros(shape, np.uint64) for n, shape in shapes.items()}
     else:
-        inputs = channel.exchange("setup", [],
-                                  [(config.n_tokens, config.d_model)] * n_inputs)
+        # One [k, n, d] block: the frame's words, and no per-input record
+        # built for a count the peer declared before its bytes arrive.
+        (block,) = channel.exchange("setup", [],
+                                    [(n_inputs, config.n_tokens, config.d_model)])
+        inputs = list(block)
         wshares = {n: weights[n].data for n in shapes}
     return inputs, wshares
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import threading
 
 import numpy as np
@@ -19,7 +20,7 @@ from mpcadapter.nn import (PROTOCOL_REVISION, RSQRT_AFFINE, RSQRT_AFFINE_WINDOW,
                            pipeline_forward_float, pipeline_forward_plain,
                            private_inference, random_features, random_weights,
                            relu_private, weight_names, weight_shape,
-                           weights_to_float)
+                           weight_shapes, weights_to_float)
 from mpcadapter.ring import (DEFAULT_CONFIG, FixedTensor, RingOverflowError,
                             decode_fixed, encode_fixed)
 from mpcadapter.runtime import in_process_pair, run_two_party
@@ -357,7 +358,69 @@ def test_linatten_is_comparison_free(rng):
         return linatten_private(ctx, q[pid], k[pid], v[pid], wl[pid])
 
     _, _, (m0, _) = run_protocol(_ctx_protocol(fn))
-    assert set(m0.breakdown) <= {"atten-qk", "atten-av", "linear"}
+    assert set(m0.breakdown) <= {"atten-kv", "atten-q", "linear"}
+
+
+def test_linatten_private_at_n_not_a_power_of_two(rng):
+    """At n = 12, K^T V is truncated by f + 3 and W_L's words are scaled by
+    2^3: the private result is (W_L (Q K^T)) V of the encoded operands."""
+    h, n, dh = 2, 12, 4
+    qv, kv, vv = (rng.standard_normal((h, n, dh)) for _ in range(3))
+    wl = decode_fixed(encode_fixed(rng.standard_normal((n, n)) * 0.1))
+    q, k, v = (share_arith(encode_fixed(t), rng) for t in (qv, kv, vv))
+    wls = share_arith(encode_fixed(wl), rng)
+
+    def fn(ctx, pid):
+        return linatten_private(ctx, q[pid], k[pid], v[pid], wls[pid])
+
+    out0, out1, (m0, _) = run_protocol(_ctx_protocol(fn))
+    qv, kv, vv = (decode_fixed(encode_fixed(t)) for t in (qv, kv, vv))
+    want = (wl @ (qv @ kv.transpose(0, 2, 1))) @ vv
+    assert np.max(np.abs(decode_fixed(out0 + out1) - want)) <= 1e-3
+    assert m0.rounds == 3
+
+
+def _ring_products(monkeypatch, proto0, proto1):
+    """Run two party closures; return each party's ring matmuls as
+    (left shape, right shape) pairs, in call order."""
+    calls, party = {0: [], 1: []}, threading.local()
+    real = kernels.matmul_u64
+
+    def counted(a, b):
+        calls[party.pid].append((a.shape, b.shape))
+        return real(a, b)
+
+    def as_party(pid, protocol):
+        def run(channel):
+            party.pid = pid
+            return protocol(channel)
+        return run
+
+    monkeypatch.setattr(kernels, "matmul_u64", counted)
+    run_two_party(as_party(0, proto0), as_party(1, proto1))
+    return calls
+
+
+def test_wl_product_is_one_2d_product(monkeypatch, rng):
+    """W_L enters one [h*dh, n] @ [n, n] product, opened once.  Party 0's
+    share of it is zero, so party 0 makes one ring product (a @ d) and
+    party 1 two (a @ d, e @ W_L), plus the dealer's a @ b."""
+    h, r, n = 2, 8, 12
+    q, k, v = (share_arith(encode_fixed(rng.standard_normal((h, n, r // h))), rng)
+               for _ in range(3))
+    wl = encode_fixed(rng.standard_normal((n, n)) * 0.1)
+    wls = (np.zeros_like(wl), wl)
+
+    def party(pid):
+        def proto(channel):
+            ctx = PartyContext(channel, TripleDealer(0, pid))
+            return linatten_private(ctx, q[pid], k[pid], v[pid], wls[pid])
+        return proto
+
+    calls = _ring_products(monkeypatch, party(0), party(1))
+    for pid, want in ((0, 1), (1, 3)):
+        wl_calls = [c for c in calls[pid] if c[1] == (n, n)]
+        assert wl_calls == [((r, n), (n, n))] * want
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +493,9 @@ def test_twin_holds_float_at_paper_width():
 @pytest.mark.parametrize("config", [
     AdapterConfig(h=2, r=8, s=2),
     AdapterConfig(h=8, r=64, s=4, d_model=768, n_tokens=128),
-], ids=["desk", "paper"])
+    AdapterConfig(h=2, r=8, s=2, n_tokens=12),
+    AdapterConfig(h=4, r=8, s=1, d_model=48, n_tokens=6),
+], ids=["desk", "paper", "desk-n12", "n6-d48"])
 def test_float_twin_is_the_wiring_over_reals(config):
     """``FloatContext`` runs the one wiring as the float64 twin, and agrees
     with the independently written reference to float rounding."""
@@ -461,24 +526,45 @@ def test_pipeline_round_ledger_per_label():
     feats = [random_features(config, derived_rng(1, "inputs"))]
     _, meters = private_inference(config, weights, feats, seed=1)
     want = {"linear": 10, "ln-var": 3, "ln-pow": 2, "ln-apply": 3,
-            "atten-qk": 1, "atten-av": 1, "a2b-dist": 1, "a2b-adder": 6,
+            "atten-kv": 1, "atten-q": 1, "a2b-dist": 1, "a2b-adder": 6,
             "bit-open": 1, "relu-mul": 1, "setup": 2, "result": 1}
     for m in meters:
         assert {label: r for label, (r, _) in m.breakdown.items()} == want
 
 
-def test_pipeline_bytes_monotone():
-    def bytes_for(h, r, s):
-        config = AdapterConfig(h=h, r=r, s=s)
-        weights = random_weights(config, derived_rng(1, "weights"))
-        feats = [random_features(config, derived_rng(1, "inputs"))]
-        _, meters = private_inference(config, weights, feats, seed=1)
-        return meters[0].bytes_sent
+def _pipeline_meters(config):
+    weights = random_weights(config, derived_rng(1, "weights"))
+    feats = [random_features(config, derived_rng(1, "inputs"))]
+    return private_inference(config, weights, feats, seed=1)[1]
 
+
+def test_pipeline_bytes_monotone():
+    bytes_for = lambda h, r, s: _pipeline_meters(AdapterConfig(h=h, r=r, s=s))[0].bytes_sent
     base = bytes_for(2, 8, 1)
-    assert bytes_for(4, 8, 1) > base
     assert bytes_for(2, 12, 1) > base
     assert bytes_for(2, 8, 2) > base
+
+
+@pytest.mark.parametrize("h,r,n", [(1, 8, 8), (2, 8, 12), (4, 8, 16), (2, 12, 6),
+                                   (4, 16, 5)])
+def test_attention_bytes_per_label(h, r, n):
+    """Each party, per adapter: K^T V opens K^T and V (16 r n bytes), Q @ KV
+    opens Q and KV (8 (r n + r dh)), and the W_L linear opens T^T [r, n] and
+    W_L once (8 (r n + n^2)); every other linear opens its [rows, d_in]
+    input and its weight.  More heads at a fixed r cost fewer bytes."""
+    config = AdapterConfig(h=h, r=r, s=2, n_tokens=n)
+    dh, s = config.head_dim, config.s
+
+    def opened(name, shape):
+        rows = {"wl": r, "classifier": 1}.get(name.rsplit(".", 1)[-1], n)
+        return rows * shape[0] + shape[0] * shape[1]
+
+    linear = 8 * sum(opened(name, shape) for name, shape in weight_shapes(config).items()
+                     if len(shape) == 2)
+    for m in _pipeline_meters(config):
+        assert m.breakdown["atten-kv"] == [s, s * 16 * r * n]
+        assert m.breakdown["atten-q"] == [s, s * 8 * (r * n + r * dh)]
+        assert m.breakdown["linear"] == [9 * s + 1, linear]
 
 
 def test_inference_deterministic():
@@ -513,14 +599,16 @@ def _transcript(config, n_inputs, skip=()):
 GOLDEN_CONFIG = AdapterConfig(h=2, r=8, s=2)
 PAPER_GOLDEN_CONFIG = AdapterConfig(h=8, r=64, s=1, d_model=768, n_tokens=128)
 
-# A reordered random draw, a changed word on the wire or a changed twin word
-# moves a transcript digest, so it changes only with a deliberate change to
-# the protocol or the fixed-point format.  The pipeline digests leave out the
-# setup entry: they pin every online word, and change only with the pipeline.
-GOLDEN_TRANSCRIPT = "c5ae78304aff3d25aa4964304abcb3d330844d673d346bcbdde6bb37a12d505a"
-PAPER_GOLDEN_TRANSCRIPT = "f058a20a66356e1884fd557f43ddbd308894abb2cd6bac87b173059b2965247c"
-PIPELINE_GOLDEN = "f8e1deaa3b7a0d57d7365b534a11381a87be0caac537503218068d2cc602951c"
-PAPER_PIPELINE_GOLDEN = "2e9d7667ea58573e49dc6d6f65b45d9732e9161d30f8a0c07896c92e30c261f5"
+# A digest hashes the private logits, both parties' per-label meters (rounds
+# and bytes) and the fixed-point twin's logit words.  No opened word is
+# hashed: a reordered random draw or a changed word on the wire shows only
+# through the logits it moves.  So a digest changes with a deliberate change
+# to the protocol, its ledger or the fixed-point format.  The pipeline
+# digests leave out the setup entry, and change only with the pipeline.
+GOLDEN_TRANSCRIPT = "dec9bfa6e1fff5fe0a7572c71085f92755d71c5bb438acecf110ab25cc188c0f"
+PAPER_GOLDEN_TRANSCRIPT = "24ff9b2fc0f0ca87291f1f35c16db29f18cbdfaadfc759165fe391329cad358e"
+PIPELINE_GOLDEN = "02b36d647d40c6c7b16246c6ffde7fb61fa81ce6575c159173ddecced95feeab"
+PAPER_PIPELINE_GOLDEN = "bee5ba75f88244546cb3de83faaa397b88577f06cde089a82a6637ca30b3eb87"
 
 
 def test_inference_golden_transcript():
@@ -555,24 +643,12 @@ def test_paper_input_ring_products_per_party(monkeypatch):
     a@b for every product."""
     weights = random_weights(PAPER_CONFIG, derived_rng(1, "weights"))
     feats = [random_features(PAPER_CONFIG, derived_rng(1, "inputs"))]
-    counts, party = {0: [0, 0], 1: [0, 0]}, threading.local()
-    real = kernels.matmul_u64
-
-    def counted(a, b):
-        counts[party.pid][0] += 1
-        counts[party.pid][1] += a.size * b.shape[-1]  # multiply-accumulates
-        return real(a, b)
-
-    def as_party(pid, protocol):
-        def run(channel):
-            party.pid = pid
-            return protocol(channel)
-        return run
-
-    monkeypatch.setattr(kernels, "matmul_u64", counted)
-    run_two_party(as_party(0, inference_party(0, PAPER_CONFIG, 1, features=feats)),
-                  as_party(1, inference_party(1, PAPER_CONFIG, 1, weights=weights)))
-    assert counts == {0: [53, 151_002_624], 1: [135, 427_842_048]}
+    calls = _ring_products(monkeypatch, inference_party(0, PAPER_CONFIG, 1, features=feats),
+                           inference_party(1, PAPER_CONFIG, 1, weights=weights))
+    # multiply-accumulates: a [..., m, k] @ [..., k, p] product makes a.size * p
+    counts = {pid: [len(c), sum(math.prod(a) * b[-1] for a, b in c)]
+              for pid, c in calls.items()}
+    assert counts == {0: [53, 72_359_424], 1: [135, 215_505_408]}
 
 
 def test_inference_without_inputs():

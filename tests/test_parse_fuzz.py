@@ -1,10 +1,11 @@
 """Property tests of the parsers of outside input: the run-config document,
-the profile-samples CSV, the utility-table CSV, a tensor record and a
-weights directory.  Each input either parses to records whose every figure
-is finite and in range (arrays of the declared shape), or raises the
-parser's typed error (``ConfigError``, ``CsvFormatError``,
-``TensorFormatError``, or ``OSError`` for a file that cannot be read);
-nothing else escapes."""
+the profile-samples CSV, the utility-table CSV, a tensor record, a
+weights directory and the peer's handshake digest.  Each input either
+parses to records whose every figure is finite and in range (arrays of the
+declared shape), or raises the parser's typed error (``ConfigError``,
+``CsvFormatError``, ``TensorFormatError``, ``OSError`` for a file that
+cannot be read, and ``ConfigMismatchError`` or ``PayloadSizeError`` for a
+digest); nothing else escapes."""
 
 import copy
 import csv
@@ -23,8 +24,12 @@ from hypothesis import strategies as st
 from mpcadapter.cli import ConfigError, RunConfig
 from mpcadapter.costmodel import CsvFormatError, ProfileSample, load_samples_csv
 from mpcadapter.nas import TableEvaluator
-from mpcadapter.nn import MAX_PARTY_WORDS
-from mpcadapter.ring import FixedTensor
+from mpcadapter.nn import (MAX_INPUT_FRAME_BYTES, MAX_PARTY_WORDS, AdapterConfig,
+                           ConfigMismatchError, PartyContext, _setup, derived_rng,
+                           random_features, random_weights)
+from mpcadapter.ring import DEFAULT_CONFIG, FixedTensor
+from mpcadapter.runtime import ChannelError, PayloadSizeError, run_two_party
+from mpcadapter.sharing import TripleDealer
 from mpcadapter.tensorio import (DTYPES, MAGIC, VERSION, TensorFormatError,
                                  load_weights_dir, read_tensor, write_tensor)
 
@@ -289,3 +294,78 @@ def test_weights_dir_reads_or_refuses(weights_dir, directory):
         t = tensors[e["name"]]
         assert isinstance(t, FixedTensor) and t.data.dtype == np.uint64
         assert list(t.shape) == e["shape"]
+
+
+# The peer's handshake digest: any words, the honest digest with words
+# replaced, cut or appended, or the honest digest declaring any input count.
+HANDSHAKE = AdapterConfig(h=1, r=4, d_model=8, n_tokens=4, n_classes=2)
+WORD = st.integers(0, 2 ** 64 - 1)
+HONEST = HANDSHAKE.digest_words(extra=(DEFAULT_CONFIG.frac_bits, 0)).tolist()
+# The largest count party 1 accepts before the feature frame arrives.
+MAX_COUNT = MAX_INPUT_FRAME_BYTES // (8 * HANDSHAKE.n_tokens * HANDSHAKE.d_model)
+
+
+def _edit(changes, cut, tail):
+    words = list(HONEST)
+    for i, word in changes.items():
+        words[i] = word
+    return words[:cut] + tail
+
+
+PEER_DIGESTS = st.one_of(
+    st.lists(WORD, max_size=2 * len(HONEST)),
+    st.builds(_edit, st.dictionaries(st.integers(0, len(HONEST) - 1), WORD, max_size=2),
+              st.integers(0, len(HONEST)), st.lists(WORD, max_size=2)),
+    st.builds(lambda count: HONEST[:-1] + [count], st.one_of(st.integers(0, 3), WORD)))
+
+
+def _fake_peer(pid, digest):
+    """The peer of party ``1 - pid``: it sends ``digest``, then plays the
+    distribution round honestly, party 0 sending the count it declared if
+    that is at most 3 and nothing otherwise."""
+    def proto(channel):
+        try:
+            channel.exchange("setup", [np.array(digest, np.uint64)])
+            shape = (HANDSHAKE.n_tokens, HANDSHAKE.d_model)
+            if pid == 1:
+                count = digest[-1] if digest and digest[-1] <= 3 else 0
+                channel.exchange("setup", [np.zeros(shape, np.uint64)] * count, [])
+            else:
+                channel.exchange("setup", [], [shape])
+        except ChannelError as e:  # our party refused the digest and aborted
+            return e
+    return proto
+
+
+@given(st.sampled_from([0, 1]), PEER_DIGESTS)
+@example(1, HONEST[:-1] + [MAX_COUNT])
+@example(1, HONEST[:-1] + [MAX_COUNT + 1])
+@example(0, HONEST[:-1] + [2 ** 64 - 1])
+@example(1, HONEST[:-1] + [2])
+@example(0, [])
+@settings(max_examples=200)
+def test_peer_digest_runs_or_refuses(pid, digest):
+    """Setup against any peer digest either runs, with the inputs the peer
+    declared, or raises ConfigMismatchError or PayloadSizeError."""
+    weights = random_weights(HANDSHAKE, derived_rng(0, "weights"))
+    feats = [random_features(HANDSHAKE, derived_rng(0, "inputs"))]
+
+    def ours(channel):
+        ctx = PartyContext(channel, TripleDealer(0, pid))
+        try:
+            return _setup(ctx, HANDSHAKE, 0, weights, feats)[0]
+        except Exception as e:  # noqa: BLE001 - the property checks its type
+            channel.abort(repr(e))
+            return e
+
+    parties = [ours, _fake_peer(pid, digest)][::1 if pid == 0 else -1]
+    got = run_two_party(*parties, timeout=5)[pid]
+    if isinstance(got, Exception):
+        assert isinstance(got, (ConfigMismatchError, PayloadSizeError)), repr(got)
+        return
+    assert digest[:-1] == HONEST[:-1]
+    if pid == 1:
+        assert len(got) == digest[-1]
+        assert all(x.shape == (HANDSHAKE.n_tokens, HANDSHAKE.d_model) for x in got)
+    else:
+        assert [x.shape for x in got] == [f.shape for f in feats]
